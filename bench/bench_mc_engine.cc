@@ -4,17 +4,10 @@
  * sampling, structure-failure sampling, whole-architecture trials, and
  * the batched lemons::engine execution path — the costs behind every
  * empirical curve in the reproduction.
- *
- * The mc_engine.* group carries its own before/after pair: run_large
- * exercises engine::runTrials while run_large_legacy_spawn replays the
- * retired per-call std::thread implementation on the identical metric
- * and seed, so `lemons-bench --filter mc_engine --report` shows the
- * engine speedup directly.
  */
 
+#include <algorithm>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
@@ -114,7 +107,7 @@ LEMONS_BENCH(mcRunStatsParallel, "mc.run_stats_parallel")
 
 namespace {
 
-/** The structure-survival metric shared by the engine/legacy pair. */
+/** The structure-survival metric shared by the mc_engine runs. */
 double
 largeTrialMetric(const wearout::DeviceFactory &factory, Rng &rng)
 {
@@ -135,43 +128,6 @@ LEMONS_BENCH(mcEngineRunLarge, "mc_engine.run_large")
         [&](Rng &rng) { return largeTrialMetric(factory, rng); },
         {.threads = 2, .faults = sim::FaultPolicy::Rethrow});
     ctx.keep(report.stats.mean());
-    ctx.metric("items", static_cast<double>(trials));
-}
-
-LEMONS_BENCH(mcEngineRunLargeLegacySpawn, "mc_engine.run_large_legacy_spawn")
-{
-    // Faithful replay of the retired runSamplesParallel: fresh
-    // std::thread workers per call, strided partition, per-device
-    // sampling through the DeviceFactory std::function hop. Identical
-    // seed and metric to mc_engine.run_large, so the report ratio IS
-    // the engine speedup.
-    const wearout::DeviceFactory factory({9.3, 12.0},
-                                         wearout::ProcessVariation::none());
-    const uint64_t trials = ctx.scaled(20000, 500);
-    const unsigned threads = 2;
-    const Rng parent(ctx.seed());
-    std::vector<double> samples(trials);
-    const auto sampler = [&factory](Rng &r) {
-        return factory.sampleLifetime(r);
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w] {
-            for (uint64_t i = w; i < trials; i += threads) {
-                Rng rng = parent.split(i);
-                samples[i] = static_cast<double>(
-                    arch::sampleParallelSurvivedAccesses(sampler, 40, 1,
-                                                         rng));
-            }
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-    RunningStats stats;
-    for (double sample : samples)
-        stats.add(sample);
-    ctx.keep(stats.mean());
     ctx.metric("items", static_cast<double>(trials));
 }
 

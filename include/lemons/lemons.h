@@ -17,10 +17,9 @@
 #ifndef LEMONS_LEMONS_H
 #define LEMONS_LEMONS_H
 
-// util: RNG, statistics, math helpers, tables, histograms, CSV.
+// util: RNG, statistics, math helpers, tables, CSV.
 #include "util/checksum.h"
 #include "util/csv.h"
-#include "util/histogram.h"
 #include "util/math.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -42,7 +41,6 @@
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "gf/poly.h"
-#include "rs/classic_rs.h"
 #include "rs/reed_solomon.h"
 #include "shamir/shamir.h"
 #include "shamir/shamir16.h"

@@ -1,7 +1,5 @@
 #include "analysis/report.h"
 
-#include <sstream>
-
 #include "obs/json.h"
 
 namespace lemons::analysis {
@@ -166,35 +164,6 @@ writeFileAnalysisJson(obs::JsonWriter &json, const AnalyzedFile &file)
     json.key("adversaries");
     writeAdversaries(json, file.analysis.adversaries);
     json.endObject();
-}
-
-std::string
-renderAnalysisJson(const std::vector<AnalyzedFile> &files)
-{
-    std::ostringstream out;
-    obs::JsonWriter json(out);
-    json.beginObject();
-    json.key("schema");
-    json.value(kAnalyzeSchema);
-
-    size_t errors = 0;
-    size_t warnings = 0;
-    json.key("files");
-    json.beginArray();
-    for (const AnalyzedFile &file : files) {
-        errors += file.findings.errorCount();
-        warnings += file.findings.warningCount();
-        writeFileAnalysisJson(json, file);
-    }
-    json.endArray();
-
-    json.key("errors");
-    json.value(static_cast<uint64_t>(errors));
-    json.key("warnings");
-    json.value(static_cast<uint64_t>(warnings));
-    json.endObject();
-    out << '\n';
-    return out.str();
 }
 
 } // namespace lemons::analysis

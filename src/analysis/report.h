@@ -2,11 +2,13 @@
  * @file
  * Machine-readable reporting for the wear-budget analyzer.
  *
- * `lemons-lint --json` emits one `lemons-analyze/1` document per run:
- * every finding the run produced (L/V/A merged, in emission order)
- * plus the analyzer's certified brackets — per-graph capacity/demand
- * dataflow results, per-workload demand envelopes, per-cohort
- * premature-lockout brackets, and the guessing-adversary obligations.
+ * Serializes one analyzed spec file: every finding the run produced
+ * (L/V/A merged, in emission order) plus the analyzer's certified
+ * brackets — per-graph capacity/demand dataflow results, per-workload
+ * demand envelopes, per-cohort premature-lockout brackets, and the
+ * guessing-adversary obligations. The `lemons-api/1` analyze result
+ * (api::renderAnalysisEnvelope, behind `lemons-lint --json` and
+ * lemonsd's POST /v1/analyze) is built from these per-file objects.
  * Unbounded bracket endpoints (the lattice top) serialize as JSON
  * null, matching the obs::JsonWriter convention for non-finite
  * doubles, so consumers can distinguish "certified huge" from
@@ -16,8 +18,6 @@
 #ifndef LEMONS_ANALYSIS_REPORT_H_
 #define LEMONS_ANALYSIS_REPORT_H_
 
-#include <string>
-#include <vector>
 
 #include "analysis/passes.h"
 #include "lint/diagnostics.h"
@@ -27,9 +27,6 @@ class JsonWriter;
 } // namespace lemons::obs
 
 namespace lemons::analysis {
-
-/** The JSON schema identifier emitted at the document root. */
-inline constexpr const char *kAnalyzeSchema = "lemons-analyze/1";
 
 /** One spec file's merged findings plus its analyzer results. */
 struct AnalyzedFile
@@ -49,14 +46,10 @@ void writeFindingsJson(obs::JsonWriter &json, const lint::Report &findings);
 
 /**
  * Write one analyzed file as a JSON object ({file, findings, graphs,
- * workloads, cohorts, adversaries}) — the per-file payload both the
- * legacy `lemons-analyze/1` document and the `lemons-api/1` analyze
- * result are built from.
+ * workloads, cohorts, adversaries}) — the per-file payload of the
+ * `lemons-api/1` analyze result.
  */
 void writeFileAnalysisJson(obs::JsonWriter &json, const AnalyzedFile &file);
-
-/** Render the whole run as a `lemons-analyze/1` JSON document. */
-std::string renderAnalysisJson(const std::vector<AnalyzedFile> &files);
 
 } // namespace lemons::analysis
 

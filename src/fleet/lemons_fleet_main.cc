@@ -22,8 +22,7 @@
  * --json emits one `lemons-api/1` envelope for the whole invocation
  * ({schema, ok, diagnostics[], result: {fleets: [...]}} for run mode,
  * result: {chaos: {...}} for --chaos), matching lemonsd and
- * `lemons-lint --json`. The pre-envelope newline-delimited per-fleet
- * objects survive behind --json-legacy (deprecated).
+ * `lemons-lint --json`.
  *
  * Exit codes: 0 success, 1 contract failure (chaos digest mismatch),
  * 2 usage/spec error, 3 interrupted by deadline (resumable).
@@ -56,7 +55,6 @@ struct Args
     bool resume = false;
     std::optional<uint64_t> deadlineMs;
     bool json = false;
-    bool jsonLegacy = false;
     bool metrics = false;
     uint64_t rounds = 6;
     std::string dir = ".";
@@ -178,24 +176,17 @@ runCampaigns(const Args &args)
         if (!summary.warning.empty())
             std::cerr << "lemons-fleet: warning: " << summary.warning
                       << "\n";
-        if (args.jsonLegacy) {
-            lemons::obs::JsonWriter json(std::cout);
-            writeSummaryJson(json, static_cast<uint64_t>(i), summary);
-            std::cout << "\n";
-        } else if (!args.json) {
-            std::cout << "fleet " << i << ": " << summary.devices
-                      << " devices"
-                      << (summary.resumed ? " (resumed)" : "")
-                      << (summary.complete() ? ""
-                                             : " [interrupted]")
-                      << "\n";
-            for (const lemons::fleet::CohortResult &cohort :
-                 summary.cohorts)
-                printCohort(cohort);
-        }
         interrupted |= !summary.complete();
-        if (args.json)
+        if (args.json) {
             summaries.push_back(std::move(summary));
+            continue;
+        }
+        std::cout << "fleet " << i << ": " << summary.devices
+                  << " devices" << (summary.resumed ? " (resumed)" : "")
+                  << (summary.complete() ? "" : " [interrupted]")
+                  << "\n";
+        for (const lemons::fleet::CohortResult &cohort : summary.cohorts)
+            printCohort(cohort);
     }
     if (args.json) {
         std::cout << lemons::api::renderEnvelope(
@@ -228,40 +219,33 @@ runChaos(const Args &args)
     const lemons::fleet::ChaosResult result =
         lemons::fleet::runChaosCampaign(
             lemons::fleet::chaosDefaultSpec(), options);
-    const auto writeChaos = [&result](lemons::obs::JsonWriter &json) {
-        json.beginObject();
-        json.key("passed");
-        json.value(result.passed());
-        json.key("reference_digest");
-        json.value(result.referenceDigest);
-        json.key("resumed_digest");
-        json.value(result.resumedDigest);
-        json.key("kills");
-        json.value(static_cast<uint64_t>(result.kills));
-        json.key("resume_observed");
-        json.value(result.resumeObserved);
-        json.key("fallback_exercised");
-        json.value(result.fallbackExercised);
-        json.key("checkpoint_path");
-        json.value(result.checkpointPath);
-        json.endObject();
-    };
-    if (args.json) {
-        const lemons::lint::Report empty;
-        std::cout << lemons::api::renderEnvelope(
-            empty, [&](lemons::obs::JsonWriter &json) {
-                json.beginObject();
-                json.key("chaos");
-                writeChaos(json);
-                json.endObject();
-            });
-    } else if (args.jsonLegacy) {
-        lemons::obs::JsonWriter json(std::cout);
-        writeChaos(json);
-        std::cout << "\n";
-    } else {
+    if (!args.json) {
         std::cout << result.log;
+        return result.passed() ? 0 : 1;
     }
+    const lemons::lint::Report empty;
+    std::cout << lemons::api::renderEnvelope(
+        empty, [&result](lemons::obs::JsonWriter &json) {
+            json.beginObject();
+            json.key("chaos");
+            json.beginObject();
+            json.key("passed");
+            json.value(result.passed());
+            json.key("reference_digest");
+            json.value(result.referenceDigest);
+            json.key("resumed_digest");
+            json.value(result.resumedDigest);
+            json.key("kills");
+            json.value(static_cast<uint64_t>(result.kills));
+            json.key("resume_observed");
+            json.value(result.resumeObserved);
+            json.key("fallback_exercised");
+            json.value(result.fallbackExercised);
+            json.key("checkpoint_path");
+            json.value(result.checkpointPath);
+            json.endObject();
+            json.endObject();
+        });
     return result.passed() ? 0 : 1;
 }
 
@@ -290,9 +274,6 @@ main(int argc, char **argv)
                  "stop (checkpointed) after N ms; exit 3");
     parser.flag("--json", &args.json,
                 "emit one lemons-api/1 envelope for the invocation");
-    parser.flag("--json-legacy", &args.jsonLegacy,
-                "deprecated: emit the pre-envelope newline-delimited "
-                "per-fleet objects instead");
     parser.flag("--metrics", &args.metrics,
                 "also dump the obs registry as JSON to stderr");
     parser.value("--rounds", &args.rounds, "N",
@@ -316,16 +297,6 @@ main(int argc, char **argv)
         std::cerr << parser.error() << '\n' << parser.helpText();
         return 2;
     }
-
-    if (args.json && args.jsonLegacy) {
-        std::cerr << "lemons-fleet: --json and --json-legacy are "
-                     "mutually exclusive\n";
-        return 2;
-    }
-    if (args.jsonLegacy)
-        std::cerr << "lemons-fleet: warning: --json-legacy is "
-                     "deprecated; migrate to the --json lemons-api/1 "
-                     "envelope\n";
 
     try {
         if (args.chaos) {

@@ -22,8 +22,6 @@
  * --analyze): {schema, ok, diagnostics[], result: {files[], errors,
  * warnings}} — the same document lemonsd's POST /v1/analyze returns,
  * so dashboards consume CI runs and server responses with one parser.
- * The pre-envelope `lemons-analyze/1` document survives behind
- * --json-legacy (deprecated, removal announced in the README).
  *
  * Exit codes: 0 clean (warnings allowed unless --werror), 1 at least
  * one error-severity finding (or any warning under --werror), 2
@@ -129,7 +127,6 @@ main(int argc, char **argv)
     bool verify = false;
     bool analyze = false;
     bool json = false;
-    bool jsonLegacy = false;
     bool codes = false;
     std::vector<std::string> files;
 
@@ -147,9 +144,6 @@ main(int argc, char **argv)
     parser.flag("--json", &json,
                 "emit one lemons-api/1 envelope for the whole run "
                 "(implies --analyze)");
-    parser.flag("--json-legacy", &jsonLegacy,
-                "deprecated: emit the pre-envelope lemons-analyze/1 "
-                "document instead (implies --analyze)");
     parser.flag("--werror", &werror,
                 "treat warnings as errors (uniform across the L/V/A "
                 "families)");
@@ -172,16 +166,7 @@ main(int argc, char **argv)
         printCatalog(std::cout);
         return 0;
     }
-    if (json && jsonLegacy) {
-        std::cerr << "lemons-lint: --json and --json-legacy are "
-                     "mutually exclusive\n";
-        return 2;
-    }
-    if (jsonLegacy)
-        std::cerr << "lemons-lint: warning: --json-legacy "
-                     "(lemons-analyze/1) is deprecated; migrate to the "
-                     "--json lemons-api/1 envelope\n";
-    if (json || jsonLegacy)
+    if (json)
         analyze = true;
     if (files.empty()) {
         std::cerr << "lemons-lint: no spec files given\n"
@@ -189,7 +174,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const bool machineOutput = json || jsonLegacy;
     size_t errors = 0;
     size_t warnings = 0;
     std::vector<lemons::analysis::AnalyzedFile> analyzed;
@@ -205,7 +189,7 @@ main(int argc, char **argv)
         }
         errors += report.errorCount();
         warnings += report.warningCount();
-        if (!machineOutput) {
+        if (!json) {
             if (!quiet && !report.empty())
                 std::cout << report.format();
             std::cout << file << ": " << report.errorCount()
@@ -217,8 +201,6 @@ main(int argc, char **argv)
     }
     if (json)
         std::cout << lemons::api::renderAnalysisEnvelope(analyzed);
-    else if (jsonLegacy)
-        std::cout << lemons::analysis::renderAnalysisJson(analyzed);
     if (errors > 0)
         return 1;
     if (werror && warnings > 0)

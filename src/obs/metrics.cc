@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <sstream>
-#include <utility>
 
 #include "obs/json.h"
 #include "obs/prometheus.h"
@@ -15,35 +14,6 @@ Timer::meanNs() const
     if (n == 0)
         return 0.0;
     return static_cast<double>(totalNs()) / static_cast<double>(n);
-}
-
-HistogramMetric::HistogramMetric(double low, double high, size_t bins)
-    : inner(low, high, bins)
-{
-}
-
-void
-HistogramMetric::add(double x)
-{
-    const MutexLock lock(mu);
-    inner.add(x);
-}
-
-Histogram
-HistogramMetric::snapshot() const
-{
-    const MutexLock lock(mu);
-    return inner;
-}
-
-void
-HistogramMetric::reset()
-{
-    const MutexLock lock(mu);
-    // Histogram has no clear(); rebuild with the same layout.
-    inner = Histogram(inner.binLow(0),
-                      inner.binHigh(inner.binCount() - 1),
-                      inner.binCount());
 }
 
 Registry &
@@ -78,27 +48,11 @@ Registry::timer(std::string_view name)
     return *it->second;
 }
 
-HistogramMetric &
-Registry::histogram(std::string_view name, double low, double high,
-                    size_t bins)
-{
-    const MutexLock lock(mu);
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-        it = histograms
-                 .emplace(std::string(name),
-                          std::make_unique<HistogramMetric>(low, high,
-                                                            bins))
-                 .first;
-    }
-    return *it->second;
-}
-
 size_t
 Registry::size() const
 {
     const MutexLock lock(mu);
-    return counters.size() + timers.size() + histograms.size();
+    return counters.size() + timers.size();
 }
 
 bool
@@ -106,8 +60,7 @@ Registry::contains(std::string_view name) const
 {
     const MutexLock lock(mu);
     return counters.find(name) != counters.end() ||
-           timers.find(name) != timers.end() ||
-           histograms.find(name) != histograms.end();
+           timers.find(name) != timers.end();
 }
 
 Snapshot
@@ -121,9 +74,6 @@ Registry::snapshot() const
     snap.timers.reserve(timers.size());
     for (const auto &[name, timer] : timers)
         snap.timers.push_back({name, timer->count(), timer->totalNs()});
-    snap.histograms.reserve(histograms.size());
-    for (const auto &[name, histogram] : histograms)
-        snap.histograms.push_back({name, histogram->snapshot()});
     return snap;
 }
 
@@ -135,8 +85,6 @@ Registry::resetAll()
         counter->reset();
     for (const auto &[name, timer] : timers)
         timer->reset();
-    for (const auto &[name, histogram] : histograms)
-        histogram->reset();
 }
 
 std::vector<CounterSample>
@@ -206,29 +154,6 @@ Registry::toJson() const
         json.value(sample.count);
         json.key("total_ns");
         json.value(sample.totalNs);
-        json.endObject();
-    }
-    json.endObject();
-
-    json.key("histograms");
-    json.beginObject();
-    for (const HistogramSample &sample : snap.histograms) {
-        const Histogram &h = sample.histogram;
-        json.key(sample.name);
-        json.beginObject();
-        json.key("low");
-        json.value(h.binLow(0));
-        json.key("high");
-        json.value(h.binHigh(h.binCount() - 1));
-        json.key("underflow");
-        json.value(h.underflow());
-        json.key("overflow");
-        json.value(h.overflow());
-        json.key("bins");
-        json.beginArray();
-        for (size_t i = 0; i < h.binCount(); ++i)
-            json.value(h.binValue(i));
-        json.endArray();
         json.endObject();
     }
     json.endObject();

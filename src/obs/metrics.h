@@ -1,6 +1,6 @@
 /**
  * @file
- * Low-overhead metrics registry: counters, timers, and histograms.
+ * Low-overhead metrics registry: counters and timers.
  *
  * Every hot path in the library (Monte Carlo trials, device sampling,
  * the design solver, the coding substrates) reports into a global
@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/histogram.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -127,32 +126,6 @@ class ScopedTimer
     std::chrono::steady_clock::time_point start;
 };
 
-/**
- * A lemons::Histogram behind a mutex, so concurrent Monte Carlo
- * workers can feed one distribution metric. Coarser-grained than
- * Counter/Timer (one lock per add) — use for values worth a
- * distribution, not for per-device events.
- */
-class HistogramMetric
-{
-  public:
-    /** See Histogram: bins over [low, high), under/overflow counted. */
-    HistogramMetric(double low, double high, size_t bins);
-
-    /** Record one sample. */
-    void add(double x) LEMONS_EXCLUDES(mu);
-
-    /** Consistent copy of the histogram so far. */
-    Histogram snapshot() const LEMONS_EXCLUDES(mu);
-
-    /** Reset all bins (the bin layout is kept). */
-    void reset() LEMONS_EXCLUDES(mu);
-
-  private:
-    mutable Mutex mu;
-    Histogram inner LEMONS_GUARDED_BY(mu);
-};
-
 /** Name/value pair of one counter at snapshot time. */
 struct CounterSample
 {
@@ -168,19 +141,11 @@ struct TimerSample
     uint64_t totalNs;
 };
 
-/** One histogram at snapshot time. */
-struct HistogramSample
-{
-    std::string name;
-    Histogram histogram;
-};
-
 /** Name-sorted, point-in-time view of a Registry. */
 struct Snapshot
 {
     std::vector<CounterSample> counters;
     std::vector<TimerSample> timers;
-    std::vector<HistogramSample> histograms;
 
     /**
      * Counters as (name, this.value - base.value), for metrics that
@@ -217,16 +182,7 @@ class Registry
     /** Find or create the timer @p name. */
     Timer &timer(std::string_view name) LEMONS_EXCLUDES(mu);
 
-    /**
-     * Find or create the histogram @p name. The bin layout is fixed by
-     * the first caller; later calls with different parameters get the
-     * existing instance.
-     */
-    HistogramMetric &histogram(std::string_view name, double low,
-                               double high, size_t bins)
-        LEMONS_EXCLUDES(mu);
-
-    /** Number of registered metrics (counters + timers + histograms). */
+    /** Number of registered metrics (counters + timers). */
     size_t size() const LEMONS_EXCLUDES(mu);
 
     /** Whether a metric of any kind named @p name exists. */
@@ -245,9 +201,7 @@ class Registry
     /**
      * Serialize the registry as a JSON object:
      * {"counters":{name:value},
-     *  "timers":{name:{"count":c,"total_ns":t}},
-     *  "histograms":{name:{"low":l,"high":h,"bins":[...],
-     *                      "underflow":u,"overflow":o}}}
+     *  "timers":{name:{"count":c,"total_ns":t}}}
      */
     std::string toJson() const LEMONS_EXCLUDES(mu);
 
@@ -266,8 +220,6 @@ class Registry
         counters LEMONS_GUARDED_BY(mu);
     std::map<std::string, std::unique_ptr<Timer>, std::less<>>
         timers LEMONS_GUARDED_BY(mu);
-    std::map<std::string, std::unique_ptr<HistogramMetric>, std::less<>>
-        histograms LEMONS_GUARDED_BY(mu);
 };
 
 } // namespace lemons::obs
@@ -277,7 +229,7 @@ class Registry
  *  - call sites live in .cc files, never in public headers;
  *  - names are compile-time string literals, dotted, lowercase;
  *  - counters for events, timers for regions >= ~1 us (steady_clock
- *    reads are not free), histograms only off the hot path.
+ *    reads are not free).
  */
 #if defined(LEMONS_OBS_DISABLED)
 

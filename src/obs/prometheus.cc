@@ -82,25 +82,6 @@ toPrometheus(const Snapshot &snapshot)
             << "\n";
         out << name << "_count " << timer.count << "\n";
     }
-    for (const HistogramSample &sample : snapshot.histograms) {
-        const std::string name =
-            "lemons_" + prometheusName(sample.name);
-        writeHeader(out, name, "histogram", sample.name);
-        const Histogram &histogram = sample.histogram;
-        // Buckets are cumulative from -Inf, so the underflow bucket
-        // folds into every le line and overflow only shows in +Inf.
-        uint64_t cumulative = histogram.underflow();
-        for (size_t i = 0; i < histogram.binCount(); ++i) {
-            cumulative += histogram.binValue(i);
-            out << name << "_bucket{le=\""
-                << formatDouble(histogram.binHigh(i)) << "\"} "
-                << cumulative << "\n";
-        }
-        out << name << "_bucket{le=\"+Inf\"} " << histogram.total()
-            << "\n";
-        out << name << "_sum " << formatDouble(histogram.sum()) << "\n";
-        out << name << "_count " << histogram.total() << "\n";
-    }
     return out.str();
 }
 

@@ -15,11 +15,6 @@
  *   - Timer             -> summary: <name>_seconds_sum (seconds, not
  *                          nanoseconds — Prometheus wants base units)
  *                          and <name>_seconds_count
- *   - HistogramMetric   -> histogram: cumulative <name>_bucket lines
- *                          with le="<upper edge>" (underflow folds into
- *                          the first bucket because buckets are
- *                          cumulative from -Inf), an le="+Inf" bucket
- *                          equal to _count, plus _sum and _count
  *
  * Metric names are sanitized: every character outside
  * [a-zA-Z0-9_:] becomes '_' (dotted registry names therefore read as

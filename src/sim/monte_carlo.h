@@ -8,10 +8,9 @@
  * in the security analyses.
  *
  * Execution is delegated to lemons::engine::runTrials, the batched
- * chunk-parallel engine: one run() entry point with an McRunOptions
- * struct replaces the old runStats / runSamples / runSamplesParallel /
- * runStatsParallel / runSamplesReport overload family, which survives
- * as [[deprecated]] one-line wrappers.
+ * chunk-parallel engine: one run() entry point takes an McRunOptions
+ * struct that selects thread count, sample retention, fault policy,
+ * early stopping and checkpointing.
  */
 
 #ifndef LEMONS_SIM_MONTE_CARLO_H_
@@ -19,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "engine/engine.h"
 #include "util/rng.h"
@@ -69,55 +67,6 @@ class MonteCarlo
      */
     ProportionInterval
     estimateProbability(const std::function<bool(Rng &)> &event) const;
-
-    // ------------------------------------------------------------------
-    // Deprecated overload family. Each is a thin wrapper over run();
-    // see the README migration table for the one-line replacements.
-    // ------------------------------------------------------------------
-
-    /** @deprecated Use run(metric, {.faults = Rethrow}).stats. */
-    [[deprecated("use run(metric, {.faults = FaultPolicy::Rethrow}).stats")]]
-    RunningStats
-    runStats(const std::function<double(Rng &)> &metric) const;
-
-    /** @deprecated Use run(metric, {.faults = Rethrow}).samples. */
-    [[deprecated(
-        "use run(metric, {.faults = FaultPolicy::Rethrow}).samples")]]
-    std::vector<double>
-    runSamples(const std::function<double(Rng &)> &metric) const;
-
-    /**
-     * @deprecated Use
-     * run(metric, {.threads = N, .keepSamples = false,
-     *              .faults = Rethrow}).stats.
-     */
-    [[deprecated("use run(metric, {.threads = N, .keepSamples = false, "
-                 ".faults = FaultPolicy::Rethrow}).stats")]]
-    RunningStats
-    runStatsParallel(const std::function<double(Rng &)> &metric,
-                     unsigned threads = 0) const;
-
-    /**
-     * @deprecated Use
-     * run(metric, {.threads = N, .faults = Rethrow}).samples.
-     */
-    [[deprecated("use run(metric, {.threads = N, "
-                 ".faults = FaultPolicy::Rethrow}).samples")]]
-    std::vector<double>
-    runSamplesParallel(const std::function<double(Rng &)> &metric,
-                       unsigned threads = 0) const;
-
-    /** @deprecated Use run(metric, {.threads = N}). */
-    [[deprecated("use run(metric, {.threads = N})")]]
-    TrialReport
-    runSamplesReport(const std::function<double(Rng &, uint64_t)> &metric,
-                     unsigned threads = 0) const;
-
-    /** @deprecated Use run(metric, {.threads = N}). */
-    [[deprecated("use run(metric, {.threads = N})")]]
-    TrialReport
-    runSamplesReport(const std::function<double(Rng &)> &metric,
-                     unsigned threads = 0) const;
 
   private:
     uint64_t masterSeed;

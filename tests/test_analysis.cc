@@ -4,7 +4,7 @@
  * its widening, the capacity/demand dataflow over hand-built IR
  * graphs, the A-code catalog goldens on seeded-violation configs, the
  * clean bill of health on every shipped example config, and the
- * lemons-analyze/1 JSON report schema.
+ * analyze result inside the lemons-api/1 envelope.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "analysis/bracket.h"
 #include "analysis/passes.h"
 #include "analysis/report.h"
+#include "api/codec.h"
 #include "ir/graph.h"
 #include "lint/diagnostics.h"
 #include "lint/rules.h"
@@ -430,7 +431,7 @@ TEST(Analyze, UnreadableFileYieldsEmptyAnalysis)
     EXPECT_TRUE(analysis.findings.empty());
 }
 
-// --- the JSON report ----------------------------------------------------
+// --- the JSON envelope --------------------------------------------------
 
 TEST(AnalyzeJson, ReportCarriesSchemaAndBrackets)
 {
@@ -438,10 +439,9 @@ TEST(AnalyzeJson, ReportCarriesSchemaAndBrackets)
     entry.analysis = analysis::analyzeSpecFile(
         configPath("smartphone_unlock.lemons"));
     entry.findings = entry.analysis.findings;
-    const std::string json = analysis::renderAnalysisJson({entry});
+    const std::string json = api::renderAnalysisEnvelope({entry});
 
-    EXPECT_NE(json.find("\"schema\":\"lemons-analyze/1\""),
-              std::string::npos);
+    EXPECT_NE(json.find("\"schema\":\"lemons-api/1\""), std::string::npos);
     EXPECT_NE(json.find("\"graphs\""), std::string::npos);
     EXPECT_NE(json.find("\"system_capacity\""), std::string::npos);
     EXPECT_NE(json.find("\"adversaries\""), std::string::npos);

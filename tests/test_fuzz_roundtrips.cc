@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "ir/graph.h"
 #include "ir/lower.h"
 #include "lint/spec_file.h"
-#include "rs/classic_rs.h"
 #include "rs/reed_solomon.h"
 #include "shamir/shamir.h"
 #include "shamir/shamir16.h"
@@ -100,40 +98,6 @@ TEST(Fuzz, RsErasureRandomConfigurations)
         const auto decoded = code.decode(shares, len);
         ASSERT_TRUE(decoded.has_value()) << "trial " << trial;
         ASSERT_EQ(*decoded, message) << "trial " << trial;
-    }
-}
-
-TEST(Fuzz, ClassicRsRandomErrorLoads)
-{
-    Rng rng(0xf010);
-    for (int trial = 0; trial < 120; ++trial) {
-        const size_t n = 4 + static_cast<size_t>(rng.nextBelow(252));
-        const size_t k = 1 + static_cast<size_t>(rng.nextBelow(n - 1));
-        const rs::ClassicRsCodec codec(n, k);
-        const auto message = randomBytes(rng, k);
-        auto word = codec.encode(message);
-        // Random split of the correction budget between errors and
-        // erasures: 2e + s <= n - k.
-        const size_t parity = codec.parity();
-        const size_t errors =
-            static_cast<size_t>(rng.nextBelow(parity / 2 + 1));
-        const size_t erasures = static_cast<size_t>(
-            rng.nextBelow(parity - 2 * errors + 1));
-        std::set<size_t> touched;
-        while (touched.size() < errors + erasures)
-            touched.insert(static_cast<size_t>(rng.nextBelow(n)));
-        std::vector<size_t> erasurePositions;
-        size_t assigned = 0;
-        for (size_t pos : touched) {
-            word[pos] ^= static_cast<uint8_t>(1 + rng.nextBelow(255));
-            if (assigned++ < erasures)
-                erasurePositions.push_back(pos);
-        }
-        const auto decoded = codec.decode(word, erasurePositions);
-        ASSERT_TRUE(decoded.has_value())
-            << "trial " << trial << " n=" << n << " k=" << k
-            << " e=" << errors << " s=" << erasures;
-        ASSERT_EQ(decoded->message, message) << "trial " << trial;
     }
 }
 

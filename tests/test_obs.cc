@@ -57,25 +57,6 @@ TEST(ObsTimer, ScopedTimerRecordsElapsedTime)
     EXPECT_GE(t.totalNs(), 1000000u); // at least 1 ms of the 2 ms sleep
 }
 
-TEST(ObsHistogram, RecordsIntoSharedHistogram)
-{
-    HistogramMetric h(0.0, 10.0, 5);
-    h.add(1.0);
-    h.add(3.0);
-    h.add(-1.0);
-    h.add(99.0);
-    const Histogram snap = h.snapshot();
-    EXPECT_EQ(snap.binValue(0), 1u);
-    EXPECT_EQ(snap.binValue(1), 1u);
-    EXPECT_EQ(snap.underflow(), 1u);
-    EXPECT_EQ(snap.overflow(), 1u);
-    h.reset();
-    const Histogram cleared = h.snapshot();
-    EXPECT_EQ(cleared.binValue(0), 0u);
-    EXPECT_EQ(cleared.underflow(), 0u);
-    EXPECT_EQ(cleared.binCount(), 5u); // layout preserved across reset
-}
-
 TEST(ObsRegistry, LookupOrCreateReturnsStableReferences)
 {
     Registry registry;
@@ -85,15 +66,9 @@ TEST(ObsRegistry, LookupOrCreateReturnsStableReferences)
     Timer &t1 = registry.timer("alpha"); // same name, different kind
     Timer &t2 = registry.timer("alpha");
     EXPECT_EQ(&t1, &t2);
-    // Histogram layout is fixed by the first caller.
-    HistogramMetric &h1 = registry.histogram("hist", 0.0, 1.0, 10);
-    HistogramMetric &h2 = registry.histogram("hist", 5.0, 9.0, 2);
-    EXPECT_EQ(&h1, &h2);
-    EXPECT_EQ(h1.snapshot().binCount(), 10u);
 
-    EXPECT_EQ(registry.size(), 3u);
+    EXPECT_EQ(registry.size(), 2u);
     EXPECT_TRUE(registry.contains("alpha"));
-    EXPECT_TRUE(registry.contains("hist"));
     EXPECT_FALSE(registry.contains("beta"));
 }
 
@@ -155,12 +130,9 @@ TEST(ObsRegistry, ToJsonRoundTrip)
     Registry registry;
     registry.counter("sim.trials").add(3);
     registry.timer("sim.run").record(1500);
-    registry.histogram("lat", 0.0, 2.0, 2).add(0.5);
     EXPECT_EQ(registry.toJson(),
               "{\"counters\":{\"sim.trials\":3},"
-              "\"timers\":{\"sim.run\":{\"count\":1,\"total_ns\":1500}},"
-              "\"histograms\":{\"lat\":{\"low\":0,\"high\":2,"
-              "\"underflow\":0,\"overflow\":0,\"bins\":[1,0]}}}");
+              "\"timers\":{\"sim.run\":{\"count\":1,\"total_ns\":1500}}}");
 }
 
 TEST(ObsJson, WriterEscapesAndNestsCorrectly)

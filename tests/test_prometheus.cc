@@ -2,9 +2,8 @@
  * @file
  * Pins the Prometheus text-exposition format behind GET /metrics
  * (obs/prometheus.h). Dashboards scrape this output, so the mapping —
- * counter -> counter, Timer -> summary in *seconds*, HistogramMetric
- * -> histogram with cumulative le buckets and a +Inf bucket equal to
- * _count — is contract, not implementation detail. These tests
+ * counter -> counter, Timer -> summary in *seconds* — is contract,
+ * not implementation detail. These tests
  * compare whole rendered documents, so any format drift fails loudly.
  */
 
@@ -56,25 +55,6 @@ TEST(Prometheus, TimerBecomesSummaryInSeconds)
               "# TYPE lemons_serve_request_seconds summary\n"
               "lemons_serve_request_seconds_sum 0.002\n"
               "lemons_serve_request_seconds_count 2\n");
-}
-
-TEST(Prometheus, HistogramBucketsAreCumulative)
-{
-    Registry registry;
-    HistogramMetric &metric =
-        registry.histogram("api.latency", 0.0, 4.0, 2);
-    metric.add(-1.0); // underflow: folds into every le bucket
-    metric.add(0.5);  // first bin [0, 2)
-    metric.add(2.5);  // second bin [2, 4)
-    metric.add(9.0);  // overflow: visible only in +Inf and _count
-    EXPECT_EQ(registry.toPrometheus(),
-              "# HELP lemons_api_latency lemons histogram api.latency\n"
-              "# TYPE lemons_api_latency histogram\n"
-              "lemons_api_latency_bucket{le=\"2\"} 2\n"
-              "lemons_api_latency_bucket{le=\"4\"} 3\n"
-              "lemons_api_latency_bucket{le=\"+Inf\"} 4\n"
-              "lemons_api_latency_sum 11\n"
-              "lemons_api_latency_count 4\n");
 }
 
 TEST(Prometheus, MetricsRenderInNameOrder)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/empirical.h"
 #include "sim/monte_carlo.h"
@@ -67,6 +70,41 @@ TEST(MonteCarlo, ProbabilityEstimateWithInterval)
     EXPECT_NEAR(ci.estimate, 0.2, 0.01);
     EXPECT_LT(ci.low, 0.2);
     EXPECT_GT(ci.high, 0.2);
+}
+
+TEST(MonteCarlo, ProbabilityEstimateMatchesCountedSamples)
+{
+    // The streamed success count must give the same interval, to the
+    // bit, as counting 1.0s over the kept samples, including for a rare
+    // event that never fires.
+    const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    for (const double p : {1e-6, 0.01, 0.2, 0.7}) {
+        for (const uint64_t seed : {1u, 6u, 91u}) {
+            for (const uint64_t trials : {1u, 97u, 5000u}) {
+                const MonteCarlo mc(seed, trials);
+                const auto event = [p](Rng &rng) {
+                    return rng.nextDouble() < p;
+                };
+                const auto samples =
+                    mc.run([&event](Rng &rng) {
+                          return event(rng) ? 1.0 : 0.0;
+                      }).samples;
+                const auto successes = static_cast<uint64_t>(
+                    std::count(samples.begin(), samples.end(), 1.0));
+                const ProportionInterval expected =
+                    wilsonInterval(successes, trials);
+                const ProportionInterval streamed =
+                    mc.estimateProbability(event);
+                EXPECT_EQ(bits(streamed.estimate), bits(expected.estimate))
+                    << "p=" << p << " seed=" << seed << " trials=" << trials;
+                EXPECT_EQ(bits(streamed.low), bits(expected.low));
+                EXPECT_EQ(bits(streamed.high), bits(expected.high));
+                if (p == 1e-6) {
+                    EXPECT_EQ(successes, 0u); // the rare-event case
+                }
+            }
+        }
+    }
 }
 
 TEST(MonteCarlo, SamplesSizeMatchesTrials)

@@ -98,7 +98,7 @@ ObsScopedTimerCheck::registerMatchers(MatchFinder *finder)
     finder->addMatcher(
         cxxMemberCallExpr(
             callee(cxxMethodDecl(
-                hasAnyName("counter", "timer", "histogram"),
+                hasAnyName("counter", "timer"),
                 ofClass(hasName("::lemons::obs::Registry")))),
             // The name argument is a std::string_view, so the literal
             // usually sits under a string_view constructor rather than
