@@ -17,9 +17,8 @@
 #ifndef LEMONS_LEMONS_H
 #define LEMONS_LEMONS_H
 
-// util: RNG, statistics, math helpers, tables, CSV.
+// util: RNG, statistics, math helpers, tables.
 #include "util/checksum.h"
-#include "util/csv.h"
 #include "util/math.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -46,7 +45,6 @@
 #include "shamir/shamir16.h"
 
 // crypto: one-time pads, hashing, password/guessing models.
-#include "crypto/guess_curve.h"
 #include "crypto/hmac.h"
 #include "crypto/otp.h"
 #include "crypto/password_model.h"

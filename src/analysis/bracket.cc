@@ -122,22 +122,6 @@ unboundedHorizonDemand(const lint::WorkloadSpec &workload)
     return AccessBracket::top();
 }
 
-double
-poissonExceedUpper(double lambda, double bound)
-{
-    if (std::isnan(lambda) || std::isnan(bound))
-        return 1.0;
-    if (bound <= 0.0)
-        return 1.0;
-    if (lambda <= 0.0)
-        return 0.0;
-    if (bound <= lambda || !std::isfinite(lambda))
-        return 1.0;
-    const double exponent =
-        bound - lambda - bound * std::log(bound / lambda);
-    return std::min(1.0, std::exp(exponent));
-}
-
 namespace {
 
 /** ln E[exp(t * X)] for one day's access count X under the burst

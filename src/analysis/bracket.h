@@ -19,7 +19,7 @@
  * padded by a Chernoff tail bound on the dominating Poisson, is a
  * bracket that contains the realized demand except with negligible
  * probability — and that residual probability is itself reported
- * (poissonExceedUpper) rather than silently dropped.
+ * (demandTailBound) rather than silently dropped.
  *
  * Degenerate inputs (non-positive rates, NaN) yield the vacuous
  * top bracket rather than throwing: the fuzzers drive garbage
@@ -114,13 +114,6 @@ AccessBracket workloadDemand(const lint::WorkloadSpec &workload,
  * declared end.
  */
 AccessBracket unboundedHorizonDemand(const lint::WorkloadSpec &workload);
-
-/**
- * Chernoff upper bound on P(X >= bound) for X ~ Poisson(lambda):
- * exp(bound - lambda - bound*ln(bound/lambda)) when bound > lambda,
- * else 1. Returns 0 for lambda <= 0 with bound > 0.
- */
-double poissonExceedUpper(double lambda, double bound);
 
 /**
  * Certified Chernoff tail bound on the realized total demand over

@@ -10,6 +10,10 @@
  * raises: with what probability does a given access budget survive a
  * usage profile over a calendar horizon — and how much budget does a
  * target survival probability need?
+ *
+ * Both answers are exact closed forms (a Binomial mixture of Poisson
+ * CDFs); simulateUsage is the day-by-day definition they are tested
+ * against.
  */
 
 #ifndef LEMONS_SIM_WORKLOAD_H_
@@ -22,8 +26,9 @@
 
 namespace lemons::sim {
 
-/** Draw a Poisson(@p mean) sample (exact for small means, normal
- *  approximation above 64 where the error is negligible). */
+/** Draw an exact Poisson(@p mean) sample: Knuth's product of uniforms
+ *  below a mean of 10, PTRS transformed rejection (Hormann 1993) from
+ *  there. @pre 0 <= mean <= 2^62. */
 uint64_t poissonSample(Rng &rng, double mean);
 
 /** Stochastic daily usage profile. */
@@ -53,6 +58,12 @@ struct LifetimeOutcome
  * profile; the device grants accesses until @p budgetAccesses is
  * spent.
  *
+ * All three usage functions reject a profile that lint L601-L603
+ * rejects (rate not positive and finite, burst probability outside
+ * [0, 1], multiplier not finite or below 1), a horizon under one day,
+ * and a peak mean demand meanPerDay * burstMultiplier * horizonDays
+ * above 2^62, with std::invalid_argument.
+ *
  * @param profile Usage profile.
  * @param budgetAccesses The device's total access budget (e.g. the
  *        91,250 LAB, or M times it with replication).
@@ -64,23 +75,30 @@ LifetimeOutcome simulateUsage(const UsageProfile &profile,
                               Rng &rng);
 
 /**
- * Monte Carlo estimate of P(budget survives the horizon) under
- * @p profile.
+ * Exact P(budget survives the horizon) under @p profile, returned as
+ * the degenerate interval {p, p, p}. The budget survives when the
+ * horizon's total demand is at most @p budgetAccesses; given B ~
+ * Binomial(d, p) burst days that total is Poisson(lambda (d + (m-1) B)),
+ * so the result is a finite sum of Binomial pmf x poissonCdf terms
+ * over the B whose pmf is above double underflow.
+ *
+ * The MonteCarlo parameter is unused: the result does not depend on
+ * it. It stays for source compatibility with existing callers.
  */
 ProportionInterval survivalProbability(const UsageProfile &profile,
                                        uint64_t budgetAccesses,
                                        uint64_t horizonDays,
-                                       const MonteCarlo &engine);
+                                       const MonteCarlo &);
 
 /**
- * Smallest access budget whose survival probability reaches
- * @p targetProbability (point estimate), found by exponential +
- * binary search over Monte Carlo estimates. Deterministic given the
- * engine's seed.
+ * Smallest access budget (at least 1) whose exact survival
+ * probability reaches @p targetProbability, found by exponential +
+ * binary search over the monotone survivalProbability. Like it, the
+ * result does not depend on the unused MonteCarlo parameter.
  */
 uint64_t budgetForSurvival(const UsageProfile &profile,
                            uint64_t horizonDays, double targetProbability,
-                           const MonteCarlo &engine);
+                           const MonteCarlo &);
 
 } // namespace lemons::sim
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "util/require.h"
 
@@ -163,6 +164,89 @@ logBetaIncRegularized(double a, double b, double x)
     if (logComplement >= 0.0)
         return negInf; // complement rounded to 1: tail is ~0
     return log1mExp(logComplement);
+}
+
+namespace {
+
+/** ln k! - (k ln k - k) for k >= 20 by Stirling's series (truncation
+ *  error < 2e-15). */
+double
+stirlingRemainder(double k)
+{
+    const double r = 1.0 / (k * k);
+    return 0.5 * std::log(2.0 * std::numbers::pi * k) +
+           (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) /
+               k;
+}
+
+} // namespace
+
+double
+logPoissonPmf(uint64_t k, double lambda)
+{
+    requireArg(lambda >= 0.0 && std::isfinite(lambda),
+               "logPoissonPmf: lambda must be finite and >= 0");
+    if (lambda == 0.0)
+        return k == 0 ? 0.0 : negInf;
+    const double kd = static_cast<double>(k);
+    if (k < 20) {
+        double factorial = 1.0;
+        for (uint64_t i = 2; i <= k; ++i)
+            factorial *= static_cast<double>(i);
+        return kd * std::log(lambda) - lambda - std::log(factorial);
+    }
+    // k ln(lambda / k) + k - lambda - remainder: the O(k) halves of
+    // k ln lambda - lambda - ln k! cancel before they are rounded.
+    return kd * std::log1p((lambda - kd) / kd) - (lambda - kd) -
+           stirlingRemainder(kd);
+}
+
+double
+poissonCdf(uint64_t n, double lambda)
+{
+    requireArg(lambda >= 0.0 && std::isfinite(lambda),
+               "poissonCdf: lambda must be finite and >= 0");
+    if (lambda == 0.0)
+        return 1.0;
+    // Q(a, x) with a = n + 1, x = lambda; the shared prefactor
+    // x^a e^-x / Gamma(a) is lambda * P(X == n).
+    constexpr double epsilon = std::numeric_limits<double>::epsilon();
+    constexpr double tiny = 1e-300;
+    const double a = static_cast<double>(n) + 1.0;
+    const double x = lambda;
+    const double front = x * std::exp(logPoissonPmf(n, x));
+    if (x < a + 1.0) {
+        // Series P(a, x) = front * sum_i x^i / (a (a+1) ... (a+i)).
+        double term = 1.0 / a;
+        double sum = term;
+        for (double ap = a + 1.0; term > sum * epsilon; ap += 1.0) {
+            term *= x / ap;
+            sum += term;
+        }
+        return std::max(0.0, 1.0 - front * sum);
+    }
+    // Continued fraction for Q(a, x), modified Lentz (cf. Numerical
+    // Recipes "gcf"); converges in O(sqrt(a)) steps when x ~ a.
+    double b = x + 1.0 - a;
+    double c = 1.0 / tiny;
+    double d = 1.0 / b;
+    double h = d;
+    for (double i = 1.0;; i += 1.0) {
+        const double an = -i * (i - a);
+        b += 2.0;
+        d = an * d + b;
+        if (std::abs(d) < tiny)
+            d = tiny;
+        c = b + an / c;
+        if (std::abs(c) < tiny)
+            c = tiny;
+        d = 1.0 / d;
+        const double delta = d * c;
+        h *= delta;
+        if (std::abs(delta - 1.0) < epsilon)
+            break;
+    }
+    return std::min(1.0, front * h);
 }
 
 double

@@ -58,6 +58,28 @@ double logBinomialTailAtLeast(uint64_t n, uint64_t k, double p);
 double logBetaIncRegularized(double a, double b, double x);
 
 /**
+ * log P(X == k) for X ~ Poisson(@p lambda). Above k = 20 Stirling's
+ * series replaces ln k!, so the O(k ln k) terms of the textbook
+ * k ln lambda - lambda - lgamma(k + 1) cancel before rounding. It calls
+ * no std::lgamma (which writes the global signgam), so concurrent
+ * samplers may use it.
+ *
+ * @pre lambda >= 0 and finite.
+ */
+double logPoissonPmf(uint64_t k, double lambda);
+
+/**
+ * Poisson lower tail P(X <= n) for X ~ Poisson(@p lambda), evaluated
+ * as the regularized upper incomplete gamma Q(n + 1, lambda): the
+ * power series for the lower function P below the mode, Lentz's
+ * continued fraction for Q above it. Each call costs
+ * O(sqrt(lambda)) iterations near the mode and fewer in the tails.
+ *
+ * @pre lambda >= 0 and finite.
+ */
+double poissonCdf(uint64_t n, double lambda);
+
+/**
  * Reference O(n - k) log-space summation of the binomial upper tail.
  * Exposed so tests can cross-validate the incomplete-beta fast path;
  * production code should call logBinomialTailAtLeast.

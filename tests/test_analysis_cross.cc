@@ -126,7 +126,8 @@ TEST(AnalysisCross, SmallDesignCapacityBracketsMonteCarlo)
 
 /**
  * The workload demand envelope must contain the simulated mean of
- * accesses actually drawn by the bursty daily profile.
+ * accesses actually drawn by the bursty daily profile, and its
+ * exhaustion bound must cover the exact usage survival's complement.
  */
 TEST(AnalysisCross, WorkloadDemandBracketsSimulatedUsage)
 {
@@ -159,6 +160,20 @@ TEST(AnalysisCross, WorkloadDemandBracketsSimulatedUsage)
         1.0;
     expectWithinBracket(served.mean(), demand.lo, demand.hi, slack,
                         "workload mean realized demand");
+
+    // The certified Chernoff exhaustion bound P(total >= budget) must
+    // cover the exact exhaustion probability 1 - P(total <= budget)
+    // around the ~20,075 +/- 440 horizon demand.
+    const sim::MonteCarlo unused(0, 1);
+    for (const uint64_t budget : {19000u, 20075u, 21000u, 22000u, 23000u}) {
+        const double exhausted =
+            1.0 - sim::survivalProbability(profile, budget, 365, unused)
+                      .estimate;
+        EXPECT_GE(analysis::exhaustionProbabilityUpper(
+                      workload, 365, static_cast<double>(budget)),
+                  exhausted)
+            << "budget " << budget;
+    }
 }
 
 /**

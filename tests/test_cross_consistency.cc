@@ -1,9 +1,9 @@
 /**
  * @file
  * Cross-module consistency checks: independent implementations of the
- * same quantity must agree (two password models at the shared paper
- * anchors, analytic vs layout-derived areas, solver caps, Poisson
- * branch boundary, and the two Shamir fields on identical semantics).
+ * same quantity must agree (analytic vs layout-derived areas, solver
+ * caps, Poisson sampler branch boundary, and the two Shamir fields on
+ * identical semantics).
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 #include "arch/cost_model.h"
 #include "arch/htree.h"
 #include "core/design_solver.h"
-#include "crypto/guess_curve.h"
-#include "crypto/password_model.h"
 #include "shamir/shamir.h"
 #include "shamir/shamir16.h"
 #include "sim/workload.h"
@@ -22,24 +20,6 @@
 
 namespace lemons {
 namespace {
-
-TEST(CrossConsistency, PasswordModelsAgreeAtPaperAnchors)
-{
-    // The power-law PasswordModel and the piecewise EmpiricalGuessCurve
-    // are independently anchored at the paper's quoted points; they
-    // must agree there exactly and stay within a small band between.
-    const crypto::PasswordModel powerLaw;
-    const auto curve = crypto::EmpiricalGuessCurve::blaseUr8Char4Class();
-    EXPECT_NEAR(powerLaw.crackedFraction(1e5),
-                curve.crackedFraction(1e5), 1e-12);
-    EXPECT_NEAR(powerLaw.crackedFraction(2e5),
-                curve.crackedFraction(2e5), 1e-12);
-    for (double g = 1.1e5; g < 2e5; g += 1e4) {
-        EXPECT_NEAR(powerLaw.crackedFraction(g), curve.crackedFraction(g),
-                    0.1 * powerLaw.crackedFraction(g))
-            << "g = " << g;
-    }
-}
 
 TEST(CrossConsistency, LayoutAndCostModelSwitchAreasMatchScale)
 {
@@ -95,20 +75,20 @@ TEST(CrossConsistency, SolverRespectsMaxPerCopyBound)
 
 TEST(CrossConsistency, PoissonBranchesAgreeAtTheBoundary)
 {
-    // The exact (Knuth) branch below mean 64 and the normal
-    // approximation above must produce statistically indistinguishable
-    // moments near the switch-over.
+    // Knuth's product of uniforms below mean 10 and PTRS above must
+    // produce statistically indistinguishable moments near the
+    // switch-over (bounds ~8 standard errors).
     Rng rngLow(1);
     Rng rngHigh(1);
     RunningStats low, high;
     for (int i = 0; i < 200000; ++i) {
-        low.add(static_cast<double>(sim::poissonSample(rngLow, 63.9)));
-        high.add(static_cast<double>(sim::poissonSample(rngHigh, 64.1)));
+        low.add(static_cast<double>(sim::poissonSample(rngLow, 9.9)));
+        high.add(static_cast<double>(sim::poissonSample(rngHigh, 10.1)));
     }
-    EXPECT_NEAR(low.mean(), 63.9, 0.15);
-    EXPECT_NEAR(high.mean(), 64.1, 0.15);
-    EXPECT_NEAR(low.variance(), 63.9, 1.5);
-    EXPECT_NEAR(high.variance(), 64.1, 1.5);
+    EXPECT_NEAR(low.mean(), 9.9, 0.06);
+    EXPECT_NEAR(high.mean(), 10.1, 0.06);
+    EXPECT_NEAR(low.variance(), 9.9, 0.25);
+    EXPECT_NEAR(high.variance(), 10.1, 0.25);
 }
 
 TEST(CrossConsistency, NarrowAndWideShamirAgreeOnSemantics)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -198,6 +199,66 @@ TEST(BetaInc, RejectsBadArguments)
     EXPECT_THROW(logBetaIncRegularized(1, 0, 0.5), std::invalid_argument);
     EXPECT_THROW(logBetaIncRegularized(1, 1, -0.1), std::invalid_argument);
     EXPECT_THROW(logBetaIncRegularized(1, 1, 1.1), std::invalid_argument);
+}
+
+/** Reference P(X <= n), X ~ Poisson(lambda), by summing the textbook
+ *  log-pmf k ln lambda - lambda - lgamma(k + 1) term by term. */
+double
+poissonCdfBySum(uint64_t n, double lambda)
+{
+    double sum = 0.0;
+    for (uint64_t k = 0; k <= n; ++k) {
+        const double kd = static_cast<double>(k);
+        sum += std::exp(kd * std::log(lambda) - lambda -
+                        std::lgamma(kd + 1.0));
+    }
+    return sum;
+}
+
+TEST(PoissonCdf, MatchesLogPmfSummation)
+{
+    // Both sides of the mode (series and continued-fraction branches)
+    // at the sampler's small means and the paper's horizon demands.
+    // The summed oracle carries lgamma's rounding of an O(lambda ln
+    // lambda) exponent, about 1e-10 relative at lambda = 219,000.
+    for (const double lambda : {5.0, 50.0, 91250.0, 219000.0}) {
+        const double sd = std::sqrt(lambda);
+        for (const double z : {-3.0, -1.0, 0.0, 1.0, 3.0}) {
+            const auto n =
+                static_cast<uint64_t>(std::max(0.0, lambda + z * sd));
+            const double want = poissonCdfBySum(n, lambda);
+            EXPECT_NEAR(poissonCdf(n, lambda), want, 1e-9 * want)
+                << "lambda = " << lambda << ", n = " << n;
+        }
+    }
+}
+
+TEST(PoissonCdf, KnownValuesAndEdges)
+{
+    // Q(91251, 91250) to 16 digits (40-digit reference arithmetic).
+    EXPECT_NEAR(poissonCdf(91250, 91250.0), 0.5008804440483703, 1e-14);
+    EXPECT_NEAR(poissonCdf(0, 2.0), std::exp(-2.0), 1e-16);
+    EXPECT_EQ(poissonCdf(0, 0.0), 1.0);
+    EXPECT_EQ(poissonCdf(10, 1e6), 0.0);
+    EXPECT_EQ(poissonCdf(2'000'000, 1e6), 1.0);
+    EXPECT_THROW(poissonCdf(1, -1.0), std::invalid_argument);
+    EXPECT_THROW(poissonCdf(1, std::nan("")), std::invalid_argument);
+    EXPECT_THROW(poissonCdf(1, inf), std::invalid_argument);
+}
+
+TEST(PoissonPmf, MatchesDirectComputation)
+{
+    // Across the k = 20 switch to Stirling's series.
+    for (const uint64_t k : {0u, 1u, 7u, 19u, 20u, 21u, 50u, 1000u}) {
+        const double kd = static_cast<double>(k);
+        const double lambda = kd + 3.5;
+        EXPECT_NEAR(logPoissonPmf(k, lambda),
+                    kd * std::log(lambda) - lambda - std::lgamma(kd + 1.0),
+                    1e-12)
+            << "k = " << k;
+    }
+    EXPECT_EQ(logPoissonPmf(0, 0.0), 0.0);
+    EXPECT_EQ(logPoissonPmf(3, 0.0), -inf);
 }
 
 TEST(BinomialTail, HugeNStaysFinite)

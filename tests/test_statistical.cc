@@ -12,8 +12,7 @@
  *  - Kolmogorov-Smirnov distance of Weibull and bathtub-mixture
  *    sampling against their analytic CDFs;
  *  - chi-square of sim::poissonSample against the exact Poisson pmf,
- *    on both sides of the exact <-> normal-approximation crossover at
- *    mean = 64.
+ *    on both sides of the Knuth <-> PTRS crossover at mean = 10.
  */
 
 #include <gtest/gtest.h>
@@ -167,31 +166,26 @@ TEST(Statistical, BathtubMixtureSamplingMatchesMixtureCdf)
     EXPECT_LT(d, ksCritical(samples.size()));
 }
 
-TEST(Statistical, PoissonExactBranchChiSquare)
+TEST(Statistical, PoissonKnuthBranchChiSquare)
 {
-    // Means below 64 use Knuth's exact product-of-uniforms algorithm;
-    // the chi-square against the exact pmf must clear the standard
-    // 99.9 % critical value.
-    for (const double mean : {5.0, 40.0, 63.5}) {
+    // Means below 10 use Knuth's product-of-uniforms algorithm; the
+    // chi-square against the exact pmf must clear the standard 99.9 %
+    // critical value.
+    for (const double mean : {0.5, 5.0, 9.9}) {
         const ChiSquare c = poissonChiSquare(mean, 2024, 20000);
         EXPECT_LT(c.stat, chiSquareCritical(c.degreesOfFreedom))
             << "mean = " << mean;
     }
 }
 
-TEST(Statistical, PoissonApproxBranchChiSquare)
+TEST(Statistical, PoissonPtrsBranchChiSquare)
 {
-    // Means >= 64 switch to the continuity-corrected normal
-    // approximation. Its skewness deficit is detectable at n = 20000
-    // (seeded statistic ~2x df at the crossover), so the bound here is
-    // 3x the degrees of freedom: loose enough for the approximation's
-    // known bias, tight enough to catch a wrong mean, wrong variance,
-    // or missing continuity correction (each of which inflates the
-    // statistic by an order of magnitude).
-    for (const double mean : {64.0, 90.0, 200.0}) {
+    // Means of 10 and above use PTRS transformed rejection, which is
+    // exact too: the same 99.9 % critical value applies, from the
+    // crossover through the fleet's 50/day and 3x-burst 150/day rates.
+    for (const double mean : {10.0, 40.0, 50.0, 64.0, 150.0, 500.0}) {
         const ChiSquare c = poissonChiSquare(mean, 2024, 20000);
-        EXPECT_LT(c.stat,
-                  3.0 * static_cast<double>(c.degreesOfFreedom))
+        EXPECT_LT(c.stat, chiSquareCritical(c.degreesOfFreedom))
             << "mean = " << mean;
     }
 }
@@ -200,7 +194,7 @@ TEST(Statistical, PoissonCrossoverMoments)
 {
     // Straddle the crossover: both branches must deliver the Poisson
     // mean and variance to within sampling error (4 sigma).
-    for (const double mean : {63.5, 64.5}) {
+    for (const double mean : {9.5, 10.5}) {
         Rng rng(31415);
         const size_t n = 50000;
         double sum = 0.0;
@@ -235,8 +229,8 @@ TEST(Statistical, PoissonZeroMeanAndDeterminism)
     const uint64_t exact[] = {6, 4, 3, 5};
     for (const uint64_t want : exact)
         EXPECT_EQ(sim::poissonSample(golden, 5.0), want);
-    const uint64_t approx[] = {521, 509, 507, 484};
-    for (const uint64_t want : approx)
+    const uint64_t ptrs[] = {527, 511, 489, 508};
+    for (const uint64_t want : ptrs)
         EXPECT_EQ(sim::poissonSample(golden, 500.0), want);
 }
 
@@ -285,9 +279,9 @@ TEST(Statistical, PhiloxBathtubMixtureMatchesMixtureCdf)
 
 TEST(Statistical, PhiloxPoissonChiSquare)
 {
-    // Re-run the exact-branch chi-square with a counter-based stream:
-    // the sampler must be generator-agnostic.
-    for (const double mean : {5.0, 40.0}) {
+    // Re-run the chi-square on both branches with a counter-based
+    // stream: the sampler must be generator-agnostic.
+    for (const double mean : {5.0, 40.0, 150.0}) {
         Rng rng = Rng::trialStream(2024, 3);
         std::map<uint64_t, uint64_t> observed;
         const size_t n = 20000;
