@@ -27,7 +27,8 @@ using LifetimeSampler = std::function<double(Rng &)>;
 
 /**
  * Generic version of sampleParallelSurvivedAccesses for any lifetime
- * distribution.
+ * distribution. Throws std::invalid_argument when @p sampler returns
+ * NaN, which has no place in an order statistic.
  */
 uint64_t sampleParallelSurvivedAccesses(const LifetimeSampler &sampler,
                                         size_t n, size_t k, Rng &rng);
@@ -135,7 +136,11 @@ struct FaultySurvival
 /**
  * Fault-injected counterpart of sampleParallelSurvivedAccesses.
  * Transient glitches are ignored here: they fail individual reads but
- * do not move the wearout order statistics.
+ * do not move the wearout order statistics. For a nominal lot under a
+ * plan without drift, a bank kernel draws the devices' uniforms in
+ * bulk and transforms only candidate order statistics; it consumes the
+ * same draws as n sampleFaultyLifetime calls and returns a
+ * bit-identical result.
  */
 FaultySurvival
 sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,

@@ -115,16 +115,16 @@ maxOf(const double *values, size_t count)
     return result;
 }
 
-/**
- * k-th smallest of @p u[0..n). The selected value is a member of the
- * input set, so ANY selection algorithm returns the same double: the
- * SIMD min/max reductions (the dominant k == 1 / k == n structure
- * configurations) and the scalar nth_element middle case are all
- * bit-identical by construction. Reorders @p u.
- */
+} // namespace
+
 double
 selectKthSmallest(double *u, size_t n, size_t k)
 {
+    // The selected value is a member of the input set, so ANY
+    // selection algorithm returns the same double: the SIMD min/max
+    // reductions (the dominant k == 1 / k == n structure
+    // configurations) and the scalar nth_element middle case are all
+    // bit-identical by construction.
     if (k == 1)
         return minOf(u, n);
     if (k == n)
@@ -133,13 +133,13 @@ selectKthSmallest(double *u, size_t n, size_t k)
     return u[k - 1];
 }
 
-} // namespace
-
 uint64_t
 floorToAccesses(double lifetime)
 {
     // A device with lifetime L serves floor(L) whole accesses (the
-    // t-th access succeeds iff t <= L).
+    // t-th access succeeds iff t <= L). NaN has no whole part, and
+    // casting it to an integer is undefined.
+    requireArg(!std::isnan(lifetime), "floorToAccesses: lifetime is NaN");
     if (lifetime <= 0.0)
         return 0;
     const double f = std::floor(lifetime);

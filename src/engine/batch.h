@@ -36,9 +36,18 @@ namespace lemons::engine {
 /**
  * Whole accesses a lifetime supports: floor(L), with huge lifetimes
  * clamped representably. Identical semantics to the arch simulation
- * layer (which now delegates here).
+ * layer (which now delegates here). Throws std::invalid_argument on
+ * NaN.
  */
 uint64_t floorToAccesses(double lifetime);
+
+/**
+ * k-th smallest of @p u[0..n), 1 <= k <= n, over values without NaNs.
+ * k == 1 and k == n reduce with SIMD min/max, other k run
+ * nth_element; the result is a member of the input either way, so it
+ * does not depend on the strategy. May reorder @p u.
+ */
+double selectKthSmallest(double *u, size_t n, size_t k);
 
 /**
  * Survived accesses of one k-out-of-n parallel bank of iid

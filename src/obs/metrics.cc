@@ -7,6 +7,16 @@
 
 namespace lemons::obs {
 
+uint32_t
+detail::assignCounterShard()
+{
+    static std::atomic<uint32_t> nextShard{0};
+    counterShardSlot =
+        nextShard.fetch_add(1, std::memory_order_relaxed) % Counter::kShards +
+        1;
+    return counterShardSlot;
+}
+
 double
 Timer::meanNs() const
 {

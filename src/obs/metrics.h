@@ -8,6 +8,10 @@
  * its metric once (a function-local static reference, one registry
  * lookup for the lifetime of the process) and then costs a single
  * relaxed atomic add — cheap enough to leave on in Release builds.
+ * Counters are striped per thread, so that add does not contend even
+ * where a counter sees every single event of a sampling path
+ * (Weibull::sample, BathtubModel::sample, poissonSample) on several
+ * executor threads at once.
  *
  * Defining LEMONS_OBS_DISABLED (per translation unit, or build-wide
  * via -DLEMONS_OBS_DISABLE=ON) compiles every macro to nothing, so the
@@ -21,8 +25,10 @@
 #ifndef LEMONS_OBS_METRICS_H_
 #define LEMONS_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,28 +41,66 @@
 
 namespace lemons::obs {
 
+namespace detail {
+
 /**
- * Monotonically increasing event count. add() is wait-free (one
- * relaxed fetch_add); reads may observe a slightly stale value while
- * writers are active, which is fine for telemetry.
+ * The calling thread's counter shard plus one; 0 until the thread's
+ * first add. Constant-initialized, so reading it needs no TLS guard.
+ */
+inline thread_local uint32_t counterShardSlot = 0;
+
+/** Assign the calling thread its shard (round-robin); returns slot. */
+uint32_t assignCounterShard();
+
+} // namespace detail
+
+/**
+ * Monotonically increasing event count, striped per thread: add() is
+ * one relaxed fetch_add on the calling thread's own cache line, so
+ * threads counting the same event do not contend. Each thread takes a
+ * shard round-robin on its first add and keeps it for every counter.
+ * get() sums the shards; counts are exact, and reads may observe a
+ * slightly stale total while writers are active, which is fine for
+ * telemetry.
  */
 class Counter
 {
   public:
+    /** Shards per counter; threads beyond this share shards. */
+    static constexpr size_t kShards = 16;
+
     /** Add @p delta events. */
     void add(uint64_t delta = 1)
     {
-        value.fetch_add(delta, std::memory_order_relaxed);
+        uint32_t slot = detail::counterShardSlot;
+        if (slot == 0) [[unlikely]]
+            slot = detail::assignCounterShard();
+        shards[slot - 1].value.fetch_add(delta, std::memory_order_relaxed);
     }
 
-    /** Current count. */
-    uint64_t get() const { return value.load(std::memory_order_relaxed); }
+    /** Current count: the sum over all shards. */
+    uint64_t get() const
+    {
+        uint64_t total = 0;
+        for (const Shard &shard : shards)
+            total += shard.value.load(std::memory_order_relaxed);
+        return total;
+    }
 
-    /** Reset to zero (between benchmark repetitions). */
-    void reset() { value.store(0, std::memory_order_relaxed); }
+    /** Reset every shard to zero (between benchmark repetitions). */
+    void reset()
+    {
+        for (Shard &shard : shards)
+            shard.value.store(0, std::memory_order_relaxed);
+    }
 
   private:
-    std::atomic<uint64_t> value{0};
+    /** One cache line per shard: no false sharing between threads. */
+    struct alignas(64) Shard
+    {
+        std::atomic<uint64_t> value{0};
+    };
+    std::array<Shard, kShards> shards;
 };
 
 /**
@@ -161,7 +205,7 @@ struct Snapshot
 /**
  * Registry of named metrics. Lookup-or-create is guarded by a mutex;
  * the returned references stay valid for the registry's lifetime, so
- * call sites resolve once and then touch only their own atomic.
+ * call sites resolve once and then touch only their own atomics.
  *
  * Names are dotted paths by convention ("sim.mc.trials"); the JSON
  * serialization keeps them flat.
@@ -229,7 +273,11 @@ class Registry
  *  - call sites live in .cc files, never in public headers;
  *  - names are compile-time string literals, dotted, lowercase;
  *  - counters for events, timers for regions >= ~1 us (steady_clock
- *    reads are not free).
+ *    reads are not free);
+ *  - counters may sit on per-event sampling paths (Weibull::sample,
+ *    BathtubModel::sample, poissonSample count every draw): the add is
+ *    uncontended on the thread's own shard. Batched kernels still
+ *    count once per batch with the bulk delta.
  */
 #if defined(LEMONS_OBS_DISABLED)
 

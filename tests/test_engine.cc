@@ -193,6 +193,14 @@ TEST(BatchKernel, SeriesSurvivalBitEqualToMinLoop)
     }
 }
 
+TEST(BatchKernel, FloorToAccessesRejectsNan)
+{
+    EXPECT_EQ(floorToAccesses(3.9), 3u);
+    EXPECT_EQ(floorToAccesses(-1.0), 0u);
+    EXPECT_THROW(floorToAccesses(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+}
+
 TEST(BatchKernel, ManyFillsInTrialOrder)
 {
     const wearout::Weibull model(14.0, 8.0);

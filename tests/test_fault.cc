@@ -3,15 +3,19 @@
  * Tests for the fault-injection subsystem and the fault-tolerant
  * Monte Carlo engine: null-plan bit-identity with the unfaulted
  * simulator, stuck-closed monotonicity of attacker success, glitch and
- * infant-mortality semantics, degraded-but-alive health reporting, and
- * TrialReport capture of throwing / non-finite trials.
+ * infant-mortality semantics, degraded-but-alive health reporting, the
+ * fault bank kernel against the per-device definition, and TrialReport
+ * capture of throwing / non-finite trials.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "arch/structures_sim.h"
 #include "core/decision_tree.h"
@@ -19,6 +23,7 @@
 #include "core/gate.h"
 #include "core/mway.h"
 #include "core/targeting.h"
+#include "engine/batch.h"
 #include "fault/fault_plan.h"
 #include "fault/faulty_device.h"
 #include "sim/monte_carlo.h"
@@ -323,6 +328,142 @@ TEST(InfantMortality, PopulationReliabilityMatchesSampling)
             (1.0 - plan.stuckClosedRate) * bathtub.reliability(x);
         EXPECT_GE(mixtureView + 1e-12, analytic) << "x = " << x;
     }
+}
+
+/**
+ * The per-device definition of a fault-injected bank: one
+ * sampleFaultyLifetime per device. The bank kernel must reproduce the
+ * k-th largest of these lifetimes bit for bit, stream position
+ * included.
+ */
+struct ReferenceBank
+{
+    std::vector<double> lifetimes;
+    size_t stuckDevices = 0;
+
+    ReferenceBank(const FaultyDeviceFactory &factory, size_t n, Rng &rng)
+    {
+        for (size_t i = 0; i < n; ++i) {
+            const FaultyLifetime fate = factory.sampleFaultyLifetime(rng);
+            if (fate.stuckClosed())
+                ++stuckDevices;
+            lifetimes.push_back(fate.lifetime);
+        }
+    }
+
+    /** The k-out-of-n survival of this population. */
+    arch::FaultySurvival survival(size_t k) const
+    {
+        arch::FaultySurvival result;
+        result.stuckDevices = stuckDevices;
+        if (stuckDevices >= k) {
+            result.unbounded = true;
+            return result;
+        }
+        std::vector<double> sorted = lifetimes;
+        std::nth_element(sorted.begin(),
+                         sorted.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                         sorted.end(), std::greater<double>());
+        result.accesses = engine::floorToAccesses(sorted[k - 1]);
+        return result;
+    }
+};
+
+/**
+ * Compare the kernel against the reference on @p trials trials of both
+ * a Philox trial stream and a xoshiro stream, for every distinct
+ * min(k, n) with k in @p ks; adds the number of cases run to @p cases.
+ */
+void
+expectMatchesReference(const FaultyDeviceFactory &factory, size_t n,
+                       std::vector<size_t> ks, uint64_t trials,
+                       size_t &cases)
+{
+    for (size_t &k : ks)
+        k = std::min(k, n);
+    std::sort(ks.begin(), ks.end());
+    ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+    for (uint64_t trial = 0; trial < trials; ++trial) {
+        for (bool philox : {true, false}) {
+            const Rng start = philox ? Rng::trialStream(2027, trial)
+                                     : Rng(2027).split(trial);
+            Rng referenceRng = start;
+            const ReferenceBank reference(factory, n, referenceRng);
+            const uint64_t nextDraw = referenceRng.next();
+            for (size_t k : ks) {
+                Rng kernelRng = start;
+                const arch::FaultySurvival got =
+                    arch::sampleFaultyParallelSurvivedAccesses(factory, n, k,
+                                                               kernelRng);
+                const arch::FaultySurvival want = reference.survival(k);
+                const auto where = [&] {
+                    const FaultPlan &plan = factory.plan();
+                    return ::testing::Message()
+                           << "eps " << plan.stuckClosedRate << " w "
+                           << plan.infantFraction << " n " << n << " k "
+                           << k << " trial " << trial
+                           << (philox ? " philox" : " xoshiro");
+                };
+                ASSERT_EQ(got.unbounded, want.unbounded) << where();
+                ASSERT_EQ(got.stuckDevices, want.stuckDevices) << where();
+                ASSERT_EQ(got.accesses, want.accesses) << where();
+                ASSERT_EQ(kernelRng.next(), nextDraw) << where();
+                ++cases;
+            }
+        }
+    }
+}
+
+TEST(FaultBankKernel, MatchesPerDeviceReference)
+{
+    size_t cases = 0;
+    for (double eps : {0.0, 1e-4, 1e-2, 0.3}) {
+        for (double w : {0.0, 0.05, 0.5}) {
+            FaultPlan plan;
+            plan.stuckClosedRate = eps;
+            plan.infantFraction = w;
+            const FaultyDeviceFactory factory(idealFactory(), plan);
+            for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{105},
+                             size_t{34311}}) {
+                expectMatchesReference(factory, n, {1, 2, n / 2 + 1, n},
+                                       20, cases);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    // Distinct k per n: 1, 2, 4, 4, 4.
+    EXPECT_EQ(cases, 12u * 15u * 20u * 2u);
+}
+
+TEST(FaultBankKernel, GlitchOnlyPlanMatchesPerDeviceReference)
+{
+    // Not a null plan, yet every device draws only its lifetime.
+    FaultPlan plan;
+    plan.glitchRate = 0.1;
+    const FaultyDeviceFactory factory(idealFactory(), plan);
+    size_t cases = 0;
+    for (size_t n : {size_t{1}, size_t{7}, size_t{105}})
+        expectMatchesReference(factory, n, {1, 2, n / 2 + 1, n}, 20, cases);
+    EXPECT_EQ(cases, 9u * 20u * 2u);
+}
+
+TEST(FaultBankKernel, LotVariationAndDriftTakeThePerDeviceLoop)
+{
+    FaultPlan varied;
+    varied.stuckClosedRate = 1e-2;
+    varied.infantFraction = 0.05;
+    const FaultyDeviceFactory lot(DeviceFactory({10.0, 12.0}, {0.05, 0.02}),
+                                  varied);
+    size_t cases = 0;
+    expectMatchesReference(lot, 105, {1, 2, 53, 105}, 20, cases);
+
+    FaultPlan drifting = varied;
+    drifting.alphaDriftSigma = 0.05;
+    drifting.betaDriftSigma = 0.02;
+    const FaultyDeviceFactory drift(idealFactory(), drifting);
+    expectMatchesReference(drift, 105, {1, 2, 53, 105}, 20, cases);
+    EXPECT_EQ(cases, 2u * 4u * 20u * 2u);
 }
 
 TEST(Health, ParallelDegradedAndDeadStates)

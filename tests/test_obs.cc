@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -29,6 +31,65 @@ TEST(ObsCounter, AddGetReset)
     EXPECT_EQ(c.get(), 42u);
     c.reset();
     EXPECT_EQ(c.get(), 0u);
+}
+
+TEST(ObsCounter, StripedCountsStayExactAcrossThreads)
+{
+    // More writer threads than shards, so some threads share a shard,
+    // while a reader snapshots the registry the whole time.
+    constexpr size_t kWriters = Counter::kShards + 5;
+    constexpr uint64_t kAddsPerWriter = 20000;
+    Registry registry;
+    Counter &events = registry.counter("events");
+    registry.counter("idle").add(3);
+    const Snapshot before = registry.snapshot();
+
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+        uint64_t last = 0;
+        while (!done.load()) {
+            const uint64_t now = registry.snapshot().counters[0].value;
+            EXPECT_GE(now, last); // monotone while only adds happen
+            last = now;
+        }
+    });
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&events, w] {
+            for (uint64_t i = 0; i < kAddsPerWriter; ++i)
+                events.add(w + 1);
+        });
+    }
+    for (std::thread &writer : writers)
+        writer.join();
+    done.store(true);
+    reader.join();
+
+    // Sum over writers of (w + 1) * kAddsPerWriter.
+    const uint64_t expected = kAddsPerWriter * kWriters * (kWriters + 1) / 2;
+    EXPECT_EQ(events.get(), expected);
+    const Snapshot after = registry.snapshot();
+    ASSERT_EQ(after.counters.size(), 2u);
+    EXPECT_EQ(after.counters[0].name, "events");
+    EXPECT_EQ(after.counters[0].value, expected);
+    const auto deltas = after.countersSince(before);
+    ASSERT_EQ(deltas.size(), 1u);
+    EXPECT_EQ(deltas[0].name, "events");
+    EXPECT_EQ(deltas[0].value, expected);
+
+    // reset() zeroes every shard: the sum is 0, and fresh adds from
+    // new threads count from zero again.
+    events.reset();
+    EXPECT_EQ(events.get(), 0u);
+    std::vector<std::thread> again;
+    for (size_t w = 0; w < kWriters; ++w)
+        again.emplace_back([&events] { events.add(2); });
+    for (std::thread &writer : again)
+        writer.join();
+    EXPECT_EQ(events.get(), 2u * kWriters);
+    registry.resetAll();
+    EXPECT_EQ(events.get(), 0u);
+    EXPECT_EQ(registry.counter("idle").get(), 0u);
 }
 
 TEST(ObsTimer, RecordAndMean)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "arch/structures.h"
@@ -246,6 +248,68 @@ TEST(StructuresSim, RejectsBadArguments)
                  std::invalid_argument);
     EXPECT_THROW(sampleSerialCopiesTotalAccesses(factory, 2, 1, 0, rng),
                  std::invalid_argument);
+}
+
+TEST(StructuresSim, GenericSamplerMatchesFactoryKernel)
+{
+    // Same draws, same order statistic: the generic path (running max
+    // for k = 1, a reused buffer otherwise) against the engine kernel.
+    const DeviceFactory factory({10.0, 8.0}, ProcessVariation::none());
+    const LifetimeSampler sampler = [&factory](Rng &rng) {
+        return factory.sampleLifetime(rng);
+    };
+    for (size_t k : {size_t{1}, size_t{9}, size_t{40}}) {
+        for (uint64_t trial = 0; trial < 50; ++trial) {
+            Rng genericRng = Rng::trialStream(5, trial);
+            Rng kernelRng = Rng::trialStream(5, trial);
+            EXPECT_EQ(sampleParallelSurvivedAccesses(sampler, 40, k,
+                                                     genericRng),
+                      sampleParallelSurvivedAccesses(factory, 40, k,
+                                                     kernelRng))
+                << "k " << k << " trial " << trial;
+            EXPECT_EQ(genericRng.next(), kernelRng.next());
+        }
+    }
+}
+
+TEST(StructuresSim, NanLifetimeIsRejected)
+{
+    // NaN has no order, so no order statistic exists: the generic path
+    // must throw rather than select among unordered values.
+    for (size_t k : {size_t{1}, size_t{3}, size_t{6}}) {
+        int calls = 0;
+        const LifetimeSampler sampler = [&calls](Rng &rng) {
+            return ++calls == 3 ? std::numeric_limits<double>::quiet_NaN()
+                                : 10.0 * rng.nextDoubleOpenLow();
+        };
+        Rng rng(4);
+        EXPECT_THROW(sampleParallelSurvivedAccesses(sampler, 6, k, rng),
+                     std::invalid_argument)
+            << "k " << k;
+    }
+}
+
+TEST(StructuresSim, NanLifetimeFailsItsMonteCarloTrial)
+{
+    const LifetimeSampler sampler = [](Rng &rng) {
+        const double u = rng.nextDoubleOpenLow();
+        return u < 0.01 ? std::numeric_limits<double>::quiet_NaN()
+                        : 10.0 * u;
+    };
+    const sim::MonteCarlo engine(9, 200);
+    const auto report = engine.run(
+        [&](Rng &rng) {
+            return static_cast<double>(
+                sampleParallelSurvivedAccesses(sampler, 5, 2, rng));
+        },
+        {.threads = 2, .chunkSize = 16});
+    // 1 - 0.99^5 of the trials meet a NaN device: a few, not all.
+    EXPECT_FALSE(report.failedTrials.empty());
+    EXPECT_LT(report.failedTrials.size(), 50u);
+    EXPECT_EQ(report.firstError,
+              "sampleParallelSurvivedAccesses: sampler returned NaN");
+    EXPECT_EQ(report.cleanTrials() + report.failedTrials.size(), 200u);
+    EXPECT_TRUE(report.nonFiniteTrials.empty());
 }
 
 /**
