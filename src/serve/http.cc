@@ -239,11 +239,6 @@ RequestParser::finishHead()
 
     contentLength = declared;
     phase = Phase::Body;
-    if (buffer.size() >= contentLength) {
-        parsed.body = buffer.substr(0, contentLength);
-        buffer.clear();
-        phase = Phase::Complete;
-    }
 }
 
 const char *

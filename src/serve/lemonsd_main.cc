@@ -6,8 +6,10 @@
  *     curl -s localhost:8787/v1/solve -d '{"alpha":10,"beta":12}'
  *
  * The process stays up until SIGTERM/SIGINT, then drains gracefully:
- * the acceptor stops, in-flight requests finish (Monte Carlo runs are
- * cancelled at the next wave boundary once the grace period expires),
+ * new connections are answered 503, in-flight requests finish (once
+ * the grace period expires, Monte Carlo runs are cancelled at the
+ * next wave boundary, requests still being sent are answered 503 and
+ * responses a client is not reading are dropped),
  * and the daemon exits 0. A second signal during the drain exits
  * immediately.
  *
@@ -87,7 +89,8 @@ main(int argc, char **argv)
                  "how long a drain lets in-flight requests finish "
                  "before cancelling them (default 2000)");
     parser.value("--socket-timeout-ms", &socketTimeoutMs, "MS",
-                 "per-connection receive/send timeout (default 10000)");
+                 "idle deadline per connection: the longest gap between "
+                 "bytes moving either way (default 10000)");
     parser.value("--mc-deadline-ms", &mcDeadlineMs, "MS",
                  "wall-clock budget for one /v1/mc/run (default 30000)");
     parser.epilog(

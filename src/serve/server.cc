@@ -3,15 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstring>
-#include <sstream>
-#include <utility>
 
 #include "api/codec.h"
 #include "engine/thread_pool.h"
@@ -21,6 +21,8 @@
 namespace lemons::serve {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /** Envelope carrying exactly one S-code diagnostic. */
 std::string
@@ -32,28 +34,40 @@ errorEnvelope(lint::Code code, const std::string &message,
     return api::renderEnvelope(report);
 }
 
-/** Bump the serve.responses.<class> counter for @p status. */
-void
-countResponse(int status)
+/** A response whose envelope carries exactly one S-code diagnostic. */
+HttpResponse
+errorReply(int status, lint::Code code, const std::string &message)
+{
+    HttpResponse response;
+    response.status = status;
+    response.body = errorEnvelope(code, message);
+    return response;
+}
+
+/** 503 + S008: the server is draining and takes no new request. */
+HttpResponse
+drainReply()
+{
+    LEMONS_OBS_INCREMENT("serve.rejected.drain");
+    return errorReply(503, lint::Code::S008,
+                      "server is draining: new requests refused");
+}
+
+/** Count @p response under serve.responses.<class>, then render it. */
+std::string
+finalize(const HttpResponse &response)
 {
     LEMONS_OBS_INCREMENT("serve.responses");
-    if (status < 300)
+    if (response.status < 300)
         LEMONS_OBS_INCREMENT("serve.responses.2xx");
-    else if (status < 500)
+    else if (response.status < 500)
         LEMONS_OBS_INCREMENT("serve.responses.4xx");
     else
         LEMONS_OBS_INCREMENT("serve.responses.5xx");
-}
-
-void
-setSocketTimeout(int fd, std::chrono::milliseconds timeout)
-{
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-    tv.tv_usec =
-        static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    std::string rendered = renderResponse(response);
+    LEMONS_OBS_COUNT("serve.bytes_out",
+                     static_cast<uint64_t>(rendered.size()));
+    return rendered;
 }
 
 } // namespace
@@ -72,19 +86,21 @@ bool
 Server::start(std::string *error)
 {
     const auto failWith = [&](const char *what) {
-        if (error != nullptr) {
-            std::ostringstream out;
-            out << what << ": " << std::strerror(errno);
-            *error = out.str();
-        }
-        if (listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
+        if (error != nullptr)
+            *error = std::string(what) + ": " + std::strerror(errno);
+        for (int *fd : {&listenFd, &wakeFd}) {
+            if (*fd >= 0)
+                ::close(*fd);
+            *fd = -1;
         }
         return false;
     };
 
-    listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
+    wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wakeFd < 0)
+        return failWith("eventfd");
+    listenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0);
     if (listenFd < 0)
         return failWith("socket");
 
@@ -116,71 +132,180 @@ Server::start(std::string *error)
     // concurrently instead of serializing behind worker creation.
     engine::ThreadPool::global().submit([] {}, opts.workers);
 
-    // The one thread lemonsd owns: it only accepts and hands off.
-    // LEMONS-TIDY-ALLOW(T001): the acceptor blocks in poll()/accept()
-    // and must not occupy a pool worker; request handlers all run on
-    // the pool via submit().
-    acceptor = std::thread([this] { acceptLoop(); });
+    // The one thread lemonsd owns moves every socket byte; it blocks
+    // in poll(), so it must not occupy a pool worker.
+    // LEMONS-TIDY-ALLOW(T001): the reactor, not a request handler
+    reactor = std::thread([this] { reactorLoop(); });
     return true;
 }
 
 void
-Server::acceptLoop()
+Server::reactorLoop()
 {
-    while (!drainRequested.load(std::memory_order_acquire)) {
-        pollfd watched{};
-        watched.fd = listenFd;
-        watched.events = POLLIN;
-        // Short poll timeout keeps drain latency bounded without a
-        // wakeup pipe: worst case the loop notices beginDrain() 50 ms
-        // late.
-        const int ready = ::poll(&watched, 1, 50);
-        if (ready <= 0)
-            continue;
+    std::vector<pollfd> watched;
+    for (;;) {
+        // Watch the sockets the reactor waits on; the poll timeout is
+        // the earliest idle deadline among them (none: block).
+        const Clock::time_point start = Clock::now();
+        int timeoutMs = -1;
+        watched.assign({{wakeFd, POLLIN, 0}, {listenFd, POLLIN, 0}});
+        for (const auto &[fd, conn] : connections) {
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                conn.deadline - start);
+            timeoutMs = static_cast<int>(std::clamp<int64_t>(
+                left.count(), 0, timeoutMs < 0 ? INT_MAX : timeoutMs));
+            watched.push_back(
+                {fd, conn.out.empty() ? short{POLLIN} : short{POLLOUT}, 0});
+        }
+        ::poll(watched.data(), watched.size(), timeoutMs);
 
-        const int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        LEMONS_OBS_INCREMENT("serve.accepted");
-        setSocketTimeout(fd, opts.socketTimeout);
-
+        // Clear the wake-up *before* reading the state it announces:
+        // a stop, completion or grace expiry posted after this read
+        // leaves the eventfd set for the next poll, so none is lost.
+        eventfd_t wakes = 0;
+        eventfd_read(wakeFd, &wakes);
+        if (stopRequested.load(std::memory_order_acquire))
+            break;
+        std::vector<std::pair<int, std::string>> done;
+        bool expired = false;
         {
             std::lock_guard<std::mutex> lock(mu);
-            if (inflightCount >= opts.maxInflight) {
-                // Reject on the acceptor: a full queue must shed load
-                // without consuming the very workers it is waiting on.
-                LEMONS_OBS_INCREMENT("serve.rejected.queue");
-                HttpResponse response;
-                response.status = 503;
-                response.body = errorEnvelope(
-                    lint::Code::S009,
-                    "admission queue is full; retry shortly");
-                response.headers.emplace_back("Retry-After", "1");
-                countResponse(response.status);
-                writeAll(fd, renderResponse(response));
-                ::close(fd);
-                continue;
-            }
-            ++inflightCount;
+            done.swap(completions);
+            expired = graceExpired;
+        }
+        for (auto &[fd, bytes] : done) {
+            connections.emplace(fd, opts.http).first->second.admitted = true;
+            send(fd, std::move(bytes));
         }
 
-        engine::ThreadPool::global().submit(
-            [this, fd] {
-                handleConnection(fd);
-                finishRequest();
-            },
-            opts.workers);
+        const Clock::time_point now = Clock::now();
+        for (size_t i = 2; i < watched.size(); ++i) {
+            const int fd = watched[i].fd;
+            if (watched[i].revents != 0)
+                watched[i].events == POLLIN ? receive(fd) : send(fd, {});
+            const auto it = connections.find(fd);
+            if (it == connections.end())
+                continue;
+            // After the drain grace no client may hold the drain up.
+            if (!expired && it->second.deadline > now)
+                continue;
+            if (!it->second.out.empty())
+                closeConnection(fd);
+            else if (expired)
+                send(fd, finalize(drainReply()));
+            else
+                send(fd, finalize(errorReply(400, lint::Code::S006,
+                                             "request never completed")));
+        }
+        if ((watched[1].revents & POLLIN) != 0)
+            acceptPending();
     }
-    acceptorDone.store(true, std::memory_order_release);
+
+    // Only unadmitted rejections can still be open here.
+    while (!connections.empty())
+        closeConnection(connections.begin()->first);
 }
 
 void
-Server::finishRequest()
+Server::acceptPending()
 {
-    std::lock_guard<std::mutex> lock(mu);
-    --inflightCount;
-    if (inflightCount == 0)
-        idle.notify_all();
+    int fd = -1;
+    while ((fd = ::accept4(listenFd, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0) {
+        LEMONS_OBS_INCREMENT("serve.accepted");
+        Connection &conn = connections.emplace(fd, opts.http).first->second;
+        conn.deadline = Clock::now() + opts.socketTimeout;
+        const bool refuse = draining();
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            conn.admitted = !refuse && inflightCount < opts.maxInflight;
+            inflightCount += conn.admitted ? 1 : 0;
+        }
+        if (refuse) {
+            send(fd, finalize(drainReply()));
+        } else if (!conn.admitted) {
+            // Shed load here, without the workers it is waiting on.
+            LEMONS_OBS_INCREMENT("serve.rejected.queue");
+            HttpResponse response =
+                errorReply(503, lint::Code::S009,
+                           "admission queue is full; retry shortly");
+            response.headers.emplace_back("Retry-After", "1");
+            send(fd, finalize(response));
+        }
+    }
+}
+
+void
+Server::receive(int fd)
+{
+    Connection &conn = connections.at(fd);
+    RequestParser &parser = conn.parser;
+    char chunk[4096];
+    while (!parser.complete() && !parser.failed()) {
+        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (got < 0 && errno == EAGAIN)
+            return;
+        if (got <= 0) {
+            // Peer closed or reset: whatever arrived is all there is.
+            parser.finish();
+            break;
+        }
+        conn.deadline = Clock::now() + opts.socketTimeout;
+        LEMONS_OBS_COUNT("serve.bytes_in", static_cast<uint64_t>(got));
+        parser.feed(std::string_view(chunk, static_cast<size_t>(got)));
+    }
+
+    if (parser.failed()) {
+        LEMONS_OBS_INCREMENT("serve.rejected.malformed");
+        send(fd, finalize(errorReply(parser.errorStatus(),
+                                     parser.errorCode(),
+                                     parser.errorMessage())));
+        return;
+    }
+    // The pool owns the socket until the response comes back.
+    engine::ThreadPool::global().submit(
+        [this, fd, request = parser.request()] {
+            LEMONS_OBS_SCOPED_TIMER("serve.request");
+            std::string bytes = finalize(route(request));
+            // Wake under the lock: once the reactor can see the
+            // completion, the server may be destroyed.
+            std::lock_guard<std::mutex> lock(mu);
+            completions.emplace_back(fd, std::move(bytes));
+            eventfd_write(wakeFd, 1);
+        },
+        opts.workers);
+    connections.erase(fd);
+}
+
+void
+Server::send(int fd, std::string bytes)
+{
+    Connection &conn = connections.at(fd);
+    conn.out += bytes;
+    conn.deadline = Clock::now() + opts.socketTimeout;
+    while (!conn.out.empty()) {
+        const ssize_t wrote =
+            ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+        if (wrote < 0 && errno == EAGAIN)
+            return;
+        if (wrote <= 0)
+            break; // peer gone: nothing left to do
+        conn.out.erase(0, static_cast<size_t>(wrote));
+    }
+    closeConnection(fd);
+}
+
+void
+Server::closeConnection(int fd)
+{
+    const auto it = connections.find(fd);
+    if (it->second.admitted) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (--inflightCount == 0)
+            idle.notify_all();
+    }
+    connections.erase(it);
+    ::close(fd);
 }
 
 size_t
@@ -190,50 +315,6 @@ Server::inflight() const
     return inflightCount;
 }
 
-void
-Server::handleConnection(int fd)
-{
-    LEMONS_OBS_SCOPED_TIMER("serve.request");
-    RequestParser parser(opts.http);
-    char chunk[4096];
-    while (!parser.complete() && !parser.failed()) {
-        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (got < 0) {
-            // Timeout or reset: whatever arrived is all there is.
-            parser.finish();
-            break;
-        }
-        if (got == 0) {
-            parser.finish();
-            break;
-        }
-        LEMONS_OBS_COUNT("serve.bytes_in", static_cast<uint64_t>(got));
-        parser.feed(std::string_view(chunk, static_cast<size_t>(got)));
-    }
-
-    HttpResponse response;
-    if (parser.failed()) {
-        LEMONS_OBS_INCREMENT("serve.rejected.malformed");
-        response.status = parser.errorStatus();
-        response.body =
-            errorEnvelope(parser.errorCode(), parser.errorMessage());
-    } else if (!parser.complete()) {
-        response.status = 400;
-        response.body = errorEnvelope(lint::Code::S006,
-                                      "request never completed");
-    } else {
-        response = route(parser.request());
-    }
-
-    countResponse(response.status);
-    const std::string rendered = renderResponse(response);
-    LEMONS_OBS_COUNT("serve.bytes_out",
-                     static_cast<uint64_t>(rendered.size()));
-    writeAll(fd, rendered);
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-}
-
 HttpResponse
 Server::route(const HttpRequest &request)
 {
@@ -241,18 +322,11 @@ Server::route(const HttpRequest &request)
     try {
         LEMONS_OBS_INCREMENT("serve.requests");
 
-        // Drain check happens per-request so a connection that was
-        // admitted just before beginDrain() still gets a response,
-        // while one racing past the acceptor gets a clean 503.
+        // Drain check happens per-request so a connection admitted
+        // just before beginDrain() still gets a clean 503, not a reset.
         if (draining() && request.target != "/v1/healthz" &&
-            request.target != "/metrics") {
-            LEMONS_OBS_INCREMENT("serve.rejected.drain");
-            response.status = 503;
-            response.body = errorEnvelope(
-                lint::Code::S008,
-                "server is draining: new requests refused");
-            return response;
-        }
+            request.target != "/metrics")
+            return drainReply();
 
         const bool isGet = request.method == "GET";
         const bool isPost = request.method == "POST";
@@ -372,20 +446,6 @@ Server::route(const HttpRequest &request)
 }
 
 void
-Server::writeAll(int fd, const std::string &bytes)
-{
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t wrote =
-            ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                   MSG_NOSIGNAL);
-        if (wrote <= 0)
-            return; // peer gone or timeout: nothing left to do
-        sent += static_cast<size_t>(wrote);
-    }
-}
-
-void
 Server::beginDrain()
 {
     drainRequested.store(true, std::memory_order_release);
@@ -395,17 +455,15 @@ void
 Server::waitDrained()
 {
     beginDrain();
-    if (acceptor.joinable())
-        acceptor.join();
-
     std::unique_lock<std::mutex> lock(mu);
     if (!idle.wait_for(lock, opts.drainGrace,
                        [this] { return inflightCount == 0; })) {
-        // Grace expired: stop in-flight Monte Carlo runs at their
-        // next wave boundary. Handlers still produce well-formed
-        // (partial, interrupted-flagged) responses.
+        // Grace expired: stop Monte Carlo runs at their next wave
+        // and answer every connection still receiving its request.
         LEMONS_OBS_INCREMENT("serve.drain.cancelled");
         drainCancel.cancel();
+        graceExpired = true;
+        eventfd_write(wakeFd, 1);
         idle.wait(lock, [this] { return inflightCount == 0; });
     }
 }
@@ -413,13 +471,15 @@ Server::waitDrained()
 void
 Server::stop()
 {
-    if (listenFd < 0 && !acceptor.joinable())
+    if (!reactor.joinable())
         return;
     waitDrained();
-    if (listenFd >= 0) {
-        ::close(listenFd);
-        listenFd = -1;
-    }
+    stopRequested.store(true, std::memory_order_release);
+    eventfd_write(wakeFd, 1);
+    reactor.join();
+    ::close(listenFd);
+    ::close(wakeFd);
+    listenFd = wakeFd = -1;
 }
 
 } // namespace lemons::serve

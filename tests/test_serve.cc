@@ -4,10 +4,11 @@
  * loopback sockets: routing, the lemons-api/1 error envelopes for
  * every malformed-transport case (truncated body, bad Content-Length,
  * oversized body), admission control (per-tenant quotas, the
- * in-flight bound), graceful drain, and the no-per-request-thread
- * guarantee (handlers ride engine::ThreadPool::global(), so the
- * sim.mc.pool.threads_created counter must stay at the worker count
- * even under concurrent client load).
+ * in-flight bound), graceful drain and its time bound, the idle
+ * deadline, and the no-per-request-thread guarantee (handlers ride
+ * engine::ThreadPool::global(), so the sim.mc.pool.threads_created
+ * counter must stay at the worker count even under concurrent client
+ * load, and idle or slow clients must not hold a worker).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -70,6 +72,18 @@ connectTo(uint16_t port)
     return fd;
 }
 
+/** Read from @p fd until EOF, error or the socket timeout. */
+std::string
+readAll(int fd)
+{
+    std::string response;
+    char chunk[4096];
+    ssize_t got = 0;
+    while ((got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0)
+        response.append(chunk, static_cast<size_t>(got));
+    return response;
+}
+
 /** Send @p raw, optionally half-close, then read the full response. */
 std::string
 exchange(uint16_t port, const std::string &raw, bool halfClose = false)
@@ -87,11 +101,7 @@ exchange(uint16_t port, const std::string &raw, bool halfClose = false)
     }
     if (halfClose)
         ::shutdown(fd, SHUT_WR);
-    std::string response;
-    char chunk[4096];
-    ssize_t got = 0;
-    while ((got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0)
-        response.append(chunk, static_cast<size_t>(got));
+    const std::string response = readAll(fd);
     ::close(fd);
     return response;
 }
@@ -145,6 +155,30 @@ hasCode(const std::string &body, std::string_view code)
     }
     return false;
 }
+
+/** Milliseconds since @p start. */
+double
+msSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** Poll server.inflight() for up to 2 s until it equals @p want. */
+bool
+awaitInflight(const Server &server, size_t want)
+{
+    for (int spins = 0; spins < 200; ++spins) {
+        if (server.inflight() == want)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return server.inflight() == want;
+}
+
+constexpr const char *kSolveBody =
+    R"({"alpha": 10, "beta": 12, "lab": 91250})";
 
 constexpr const char *kLintBody =
     R"({"spec": "[structure]\nkind = parallel\nn = 4\nk = 2\n"})";
@@ -358,6 +392,116 @@ TEST_F(ServeTest, ConcurrentClientsNeverSpawnRequestThreads)
     EXPECT_LE(
         obs::Registry::global().counter("sim.mc.pool.threads_created").get(),
         8u);
+}
+
+TEST_F(ServeTest, DrainAnswersNewConnectionsWithS008)
+{
+    // A connection that arrives during the grace period is answered,
+    // not left in the listen backlog until stop() resets it.
+    Server server(ServerOptions{});
+    ASSERT_TRUE(server.start());
+    server.beginDrain();
+    const auto start = std::chrono::steady_clock::now();
+    const std::string response =
+        exchange(server.boundPort(), post("/v1/solve", kSolveBody));
+    EXPECT_LT(msSince(start), 1000.0);
+    EXPECT_EQ(statusOf(response), 503);
+    EXPECT_TRUE(hasCode(bodyOf(response), "S008"));
+    server.stop();
+}
+
+TEST_F(ServeTest, DrainGraceBoundsStopForStalledSender)
+{
+    ServerOptions options;
+    options.drainGrace = std::chrono::milliseconds(100);
+    Server server(options);
+    ASSERT_TRUE(server.start());
+
+    // Half a head, then silence: the request can never complete.
+    const int fd = connectTo(server.boundPort());
+    ASSERT_GE(fd, 0);
+    const std::string half = "POST /v1/solve HTTP/1.1\r\nContent-Le";
+    ASSERT_EQ(::send(fd, half.data(), half.size(), 0),
+              static_cast<ssize_t>(half.size()));
+    ASSERT_TRUE(awaitInflight(server, 1));
+
+    const auto start = std::chrono::steady_clock::now();
+    server.stop();
+    EXPECT_LT(msSince(start), 1000.0);
+    EXPECT_EQ(server.inflight(), 0u);
+
+    const std::string response = readAll(fd);
+    ::close(fd);
+    if (!response.empty()) {
+        EXPECT_EQ(statusOf(response), 503);
+        EXPECT_TRUE(hasCode(bodyOf(response), "S008"));
+    }
+}
+
+TEST_F(ServeTest, IdleConnectionsDoNotPinWorkers)
+{
+    ServerOptions options;
+    options.workers = 1;
+    Server server(options);
+    ASSERT_TRUE(server.start());
+    const uint64_t threadsBefore =
+        obs::Registry::global().counter("sim.mc.pool.threads_created").get();
+
+    // Eight silent connections and one that trickles a header that
+    // never ends: none of them may hold the only worker.
+    std::vector<int> idle;
+    for (int c = 0; c < 8; ++c) {
+        idle.push_back(connectTo(server.boundPort()));
+        ASSERT_GE(idle.back(), 0);
+    }
+    const int slow = connectTo(server.boundPort());
+    ASSERT_GE(slow, 0);
+    std::atomic<bool> trickling{true};
+    std::thread trickler([&] {
+        const std::string head = "POST /v1/solve HTTP/1.1\r\nX-Pad: ";
+        for (size_t i = 0; trickling.load(); ++i) {
+            const char byte = i < head.size() ? head[i] : 'a';
+            if (::send(slow, &byte, 1, 0) != 1)
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+    });
+    ASSERT_TRUE(awaitInflight(server, 9));
+
+    const auto start = std::chrono::steady_clock::now();
+    const std::string response =
+        exchange(server.boundPort(), post("/v1/solve", kSolveBody));
+    EXPECT_LT(msSince(start), 2000.0);
+    EXPECT_EQ(statusOf(response), 200);
+
+    trickling.store(false);
+    trickler.join();
+    ::close(slow);
+    for (const int fd : idle)
+        ::close(fd);
+    server.stop();
+    EXPECT_EQ(
+        obs::Registry::global().counter("sim.mc.pool.threads_created").get(),
+        threadsBefore);
+}
+
+TEST_F(ServeTest, IdleDeadlineClosesSilentConnection)
+{
+    ServerOptions options;
+    options.socketTimeout = std::chrono::milliseconds(200);
+    Server server(options);
+    ASSERT_TRUE(server.start());
+
+    const int fd = connectTo(server.boundPort());
+    ASSERT_GE(fd, 0);
+    const auto start = std::chrono::steady_clock::now();
+    const std::string response = readAll(fd);
+    ::close(fd);
+    EXPECT_LT(msSince(start), 1000.0);
+    EXPECT_EQ(statusOf(response), 400);
+    EXPECT_TRUE(hasCode(bodyOf(response), "S006"));
+    EXPECT_TRUE(awaitInflight(server, 0));
+    server.stop();
 }
 
 } // namespace
