@@ -9,8 +9,8 @@
 
 #include "lint/diagnostics.h"
 #include "obs/metrics.h"
-#include "sim/workload.h"
 #include "util/checksum.h"
+#include "util/math.h"
 #include "util/rng.h"
 #include "wearout/mixture.h"
 #include "wearout/weibull.h"
@@ -118,59 +118,6 @@ struct LifecycleCounters
     std::atomic<uint64_t> reprovisioned{0};
 };
 
-/**
- * Simulate one device's lifetime; returns days of service delivered
- * (from entry into service until lockout or the horizon). All draws
- * come from the trial's own Rng, in a fixed order, so the sample — and
- * every counter increment — is a pure function of the trial seed.
- */
-double
-simulateDevice(Rng &rng, const lint::FleetSpec &spec,
-               const lint::FleetCohortSpec &cohort,
-               const wearout::BathtubModel &lifetime,
-               LifecycleCounters &counters)
-{
-    // Provisioning stagger: the device enters service on a uniform day
-    // within the cohort's rollout window.
-    const double entryDay = cohort.staggerDays > 0.0
-                                ? rng.nextDouble() * cohort.staggerDays
-                                : 0.0;
-    // The device dies at whichever comes first: the architecture's
-    // limited-use bound, or physical wearout of the lot it came from.
-    const double wearLife = lifetime.sample(rng);
-    const double bound = static_cast<double>(cohort.accessBound);
-    const uint64_t budget = static_cast<uint64_t>(
-        std::max(0.0, std::min(bound, wearLife)));
-
-    const uint64_t firstDay = static_cast<uint64_t>(entryDay);
-    uint64_t spent = 0;
-    bool reprovisionCounted = false;
-    for (uint64_t day = firstDay; day < spec.horizonDays; ++day) {
-        double mean = cohort.usage.meanPerDay;
-        if (cohort.reprovisionDay &&
-            static_cast<double>(day) >= *cohort.reprovisionDay) {
-            if (!reprovisionCounted) {
-                counters.reprovisioned.fetch_add(
-                    1, std::memory_order_relaxed);
-                reprovisionCounted = true;
-            }
-            mean *= cohort.reprovisionUsageScale;
-        }
-        if (cohort.usage.burstProbability > 0.0 &&
-            rng.nextBernoulli(cohort.usage.burstProbability))
-            mean *= cohort.usage.burstMultiplier;
-        spent += sim::poissonSample(rng, mean);
-        if (spent >= budget) {
-            counters.replaced.fetch_add(1, std::memory_order_relaxed);
-            if (day < spec.prematureDays)
-                counters.premature.fetch_add(1,
-                                             std::memory_order_relaxed);
-            return static_cast<double>(day - firstDay);
-        }
-    }
-    return static_cast<double>(spec.horizonDays - firstDay);
-}
-
 CohortRecord
 toRecord(const CohortResult &result)
 {
@@ -225,7 +172,153 @@ fromEngineCheckpoint(const engine::EngineCheckpoint &checkpoint)
     return cursor;
 }
 
+/**
+ * The first day d in [@p lo, @p hi) with @p pred(d), or @p hi when there
+ * is none; @p pred must be monotone (false, then true). A bisection
+ * whose first two probes are @p guess (in [lo, hi]) and the day before
+ * it, so a right guess costs two probes and a wrong one
+ * O(log(hi - lo)).
+ */
+template <typename Pred>
+uint64_t
+firstDayWhere(uint64_t lo, uint64_t hi, uint64_t guess, Pred pred)
+{
+    const auto probe = [&](uint64_t day) {
+        if (pred(day))
+            hi = day;
+        else
+            lo = day + 1;
+    };
+    if (guess < hi)
+        probe(guess);
+    if (lo < guess)
+        probe(guess - 1);
+    while (lo < hi)
+        probe(lo + (hi - lo) / 2);
+    return lo;
+}
+
 } // namespace
+
+DeviceLifetime
+sampleDeviceLifetime(Rng &rng, const lint::FleetSpec &spec,
+                     const lint::FleetCohortSpec &cohort,
+                     const wearout::BathtubModel &lifetime)
+{
+    // Provisioning stagger: the device enters service on a uniform day
+    // within the cohort's rollout window.
+    const double entryDay = cohort.staggerDays > 0.0
+                                ? rng.nextDouble() * cohort.staggerDays
+                                : 0.0;
+    // The device dies at whichever comes first: the architecture's
+    // limited-use bound, or physical wearout of the lot it came from.
+    const double wearLife = lifetime.sample(rng);
+    const double bound = static_cast<double>(cohort.accessBound);
+    const uint64_t budget = static_cast<uint64_t>(
+        std::max(0.0, std::min(bound, wearLife)));
+
+    DeviceLifetime device;
+    const uint64_t horizon = spec.horizonDays;
+    // Entering service at or after the horizon delivers nothing (and
+    // keeps the day cast below in range).
+    if (!(entryDay < static_cast<double>(horizon)))
+        return device;
+    const uint64_t firstDay = static_cast<uint64_t>(entryDay);
+
+    // The daily Poisson mean m(j): `early` before the re-provisioning
+    // day, `late` from it on, times burstMultiplier on burst days. An
+    // every-day burst folds the multiplier in and draws nothing.
+    const lint::WorkloadSpec &usage = cohort.usage;
+    const double burstP = usage.burstProbability;
+    const double early =
+        usage.meanPerDay * (burstP >= 1.0 ? usage.burstMultiplier : 1.0);
+    const double late = early * cohort.reprovisionUsageScale;
+    // R: the first day with day >= reprovisionDay; horizon if none.
+    uint64_t reprovisionStart = horizon;
+    if (cohort.reprovisionDay) {
+        const double day = *cohort.reprovisionDay;
+        if (day <= static_cast<double>(firstDay))
+            reprovisionStart = firstDay;
+        else if (day < static_cast<double>(horizon))
+            reprovisionStart = static_cast<uint64_t>(std::ceil(day));
+    }
+
+    uint64_t death = horizon; // horizon = reached it alive
+    if (budget == 0) {
+        death = firstDay;
+    } else {
+        // Burst days in [firstDay, horizon), one geometric gap (one
+        // uniform) each; `extraThrough` is the burst mass
+        // (multiplier - 1) * m(j) summed over bursts up to this one.
+        struct Burst
+        {
+            uint64_t day;
+            double extraThrough;
+        };
+        thread_local std::vector<Burst> bursts;
+        bursts.clear();
+        if (burstP > 0.0 && burstP < 1.0) {
+            const double logMiss = std::log1p(-burstP);
+            double extra = 0.0;
+            for (uint64_t day = firstDay; day < horizon; ++day) {
+                const double gap =
+                    std::floor(std::log(rng.nextDoubleOpenLow()) / logMiss);
+                if (!(gap < static_cast<double>(horizon - day)))
+                    break;
+                day += static_cast<uint64_t>(gap);
+                extra += (usage.burstMultiplier - 1.0) *
+                         (day < reprovisionStart ? early : late);
+                bursts.push_back({day, extra});
+            }
+        }
+        // Lambda_d = sum of m(j) over j in [firstDay, d]: linear in d
+        // apart from the slope change at R, plus the burst mass so far.
+        const auto meanThrough = [&](uint64_t d) {
+            double total =
+                d < reprovisionStart
+                    ? early * static_cast<double>(d - firstDay + 1)
+                    : early * static_cast<double>(reprovisionStart -
+                                                  firstDay) +
+                          late * static_cast<double>(d - reprovisionStart +
+                                                     1);
+            const auto after = std::upper_bound(
+                bursts.begin(), bursts.end(), d,
+                [](uint64_t day, const Burst &b) { return day < b.day; });
+            if (after != bursts.begin())
+                total += std::prev(after)->extraThrough;
+            return total;
+        };
+        // Given the burst days the daily counts are independent
+        // Poissons, so P(D <= d) = P(Poisson(Lambda_d) >= budget). The
+        // device dies on the first day whose lower tail falls to v
+        // (v = 1 - u, which sidesteps the 1 - CDF cancellation). A
+        // search on the normal approximation of that tail (continuity
+        // corrected) guesses the day for free; the exact search then
+        // usually needs two CDF evaluations to confirm it.
+        const double v = rng.nextDouble();
+        const double below = static_cast<double>(budget) - 0.5;
+        const auto roughlyDead = [&](uint64_t d) {
+            const double lambda = meanThrough(d);
+            return lambda > 0.0 &&
+                   0.5 * std::erfc((lambda - below) /
+                                   std::sqrt(2.0 * lambda)) <= v;
+        };
+        const auto dead = [&](uint64_t d) {
+            return poissonCdf(budget - 1, meanThrough(d)) <= v;
+        };
+        const uint64_t guess = firstDayWhere(
+            firstDay, horizon, firstDay + (horizon - firstDay) / 2,
+            roughlyDead);
+        death = firstDayWhere(firstDay, horizon, guess, dead);
+    }
+
+    device.serviceDays = static_cast<double>(death - firstDay);
+    device.replaced = death < horizon;
+    device.premature = device.replaced && death < spec.prematureDays;
+    device.reprovisioned =
+        reprovisionStart < horizon && death >= reprovisionStart;
+    return device;
+}
 
 ProportionInterval
 CohortResult::replacementInterval() const
@@ -390,8 +483,18 @@ FleetCampaign::run(const CampaignOptions &options) const
         const engine::TrialReport report = engine::runTrials(
             cohortSeed, runOptions,
             [&](Rng &rng, uint64_t) {
-                return simulateDevice(rng, fleetSpec, cohortSpec,
-                                      lifetime, counters);
+                const DeviceLifetime device = sampleDeviceLifetime(
+                    rng, fleetSpec, cohortSpec, lifetime);
+                if (device.replaced)
+                    counters.replaced.fetch_add(
+                        1, std::memory_order_relaxed);
+                if (device.premature)
+                    counters.premature.fetch_add(
+                        1, std::memory_order_relaxed);
+                if (device.reprovisioned)
+                    counters.reprovisioned.fetch_add(
+                        1, std::memory_order_relaxed);
+                return device.serviceDays;
             });
 
         if (report.interrupted()) {

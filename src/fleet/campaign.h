@@ -13,9 +13,11 @@
  *
  * FleetCampaign answers that by sharding the population across the
  * engine's deterministic chunked Monte Carlo: each cohort is one
- * engine::runTrials call whose per-device metric simulates a lifetime
- * day by day, and whose results stream through RunningStats in fixed
- * memory. Lifecycle tallies (replacements, premature lockouts,
+ * engine::runTrials call whose per-device metric samples a lifetime in
+ * closed form (sampleDeviceLifetime: the burst days from geometric
+ * gaps, then the exhaustion day by inverting the exact Poisson tail of
+ * the cumulative demand), and whose results stream through
+ * RunningStats in fixed memory. Lifecycle tallies (replacements, premature lockouts,
  * re-provisionings) are order-independent atomic sums, so every number
  * the campaign reports is bit-identical at any thread count.
  *
@@ -39,9 +41,48 @@
 #include "engine/engine.h"
 #include "fleet/checkpoint.h"
 #include "lint/rules.h"
+#include "util/rng.h"
 #include "util/stats.h"
+#include "wearout/mixture.h"
 
 namespace lemons::fleet {
+
+/** One device's lifecycle within a campaign horizon. */
+struct DeviceLifetime
+{
+    /** Days from entry into service to lockout or the horizon. */
+    double serviceDays = 0.0;
+    /** Locked out (budget exhausted) within the horizon. */
+    bool replaced = false;
+    /** Locked out before FleetSpec::prematureDays absolute days. */
+    bool premature = false;
+    /** Alive at the start of its re-provisioning day, within the
+     *  horizon. */
+    bool reprovisioned = false;
+};
+
+/**
+ * Sample one @p cohort device's lifetime, exactly in distribution as a
+ * day-by-day simulation that draws each day's burst Bernoulli and
+ * Poisson demand. The entry day (uniform over the stagger window) and
+ * the access budget (min of the LAB and a @p lifetime draw) come first;
+ * the burst days follow from geometric gaps, one uniform each; one more
+ * uniform v picks the exhaustion day D as the first day d with
+ * P(Poisson(Lambda_d) < budget) <= v, where Lambda_d sums the daily
+ * means from the entry day through d. A search on the normal
+ * approximation of that tail guesses D, and a bisection on the exact
+ * tail that probes the guess first confirms it. A device costs
+ * O(1 + bursts) draws and O(log horizon) Poisson CDF evaluations, two
+ * when the guess is right.
+ *
+ * A budget of 0 locks out on the entry day; a device entering service
+ * at or after the horizon serves 0 days and counts nowhere. Every draw
+ * comes from @p rng in a fixed order, so the result is a pure function
+ * of the stream (the campaign's bit-identity contract rests on this).
+ */
+DeviceLifetime sampleDeviceLifetime(Rng &rng, const lint::FleetSpec &spec,
+                                    const lint::FleetCohortSpec &cohort,
+                                    const wearout::BathtubModel &lifetime);
 
 /** Final results of one cohort's device-lifetime trials. */
 struct CohortResult

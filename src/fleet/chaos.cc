@@ -1,6 +1,7 @@
 #include "fleet/chaos.h"
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -124,8 +125,8 @@ chaosDefaultSpec()
     spec.devices = 6000;
     spec.seed = 20170624; // ISCA'17 talk date, arbitrary but stable
     // Checkpoint every 32-trial chunk: the first checkpoint lands
-    // within milliseconds, so even the earliest kill leaves
-    // resumable state for the next round to pick up.
+    // within milliseconds, so nearly every kill leaves resumable
+    // state for the next round to pick up.
     spec.chunkSize = 32;
     spec.checkpointEveryChunks = 1;
     spec.horizonDays = 1825;
@@ -186,11 +187,17 @@ runChaosCampaign(const lint::FleetSpec &spec, const ChaosOptions &options)
 
     // Uninterrupted reference, in a child (fork-safety contract: the
     // parent never runs a campaign, so it never warms a thread pool).
+    // Its wall time scales the kill delays below.
+    double referenceUs = 0.0;
     {
+        const auto started = std::chrono::steady_clock::now();
         const pid_t pid = spawnCampaignChild(spec, options.threads,
                                              /*checkpointPath=*/"",
                                              referenceResult);
         const int status = await(pid);
+        referenceUs = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
         const ChildOutcome reference = readOutcome(referenceResult);
         if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
             !reference.ok)
@@ -198,7 +205,9 @@ runChaosCampaign(const lint::FleetSpec &spec, const ChaosOptions &options)
                 "chaos: uninterrupted reference run failed");
         result.referenceDigest = reference.digest;
         logLine(result.log, "reference digest " +
-                                std::to_string(reference.digest));
+                                std::to_string(reference.digest) +
+                                " in " +
+                                std::to_string(referenceUs / 1e3) + " ms");
     }
 
     Rng rng(options.seed);
@@ -206,12 +215,14 @@ runChaosCampaign(const lint::FleetSpec &spec, const ChaosOptions &options)
         const pid_t pid =
             spawnCampaignChild(spec, options.threads,
                                result.checkpointPath, chaosResult);
-        const uint64_t delayMs =
-            options.minKillDelayMs +
-            (options.killDelaySpanMs > 0
-                 ? rng.nextBelow(options.killDelaySpanMs)
-                 : 0);
-        ::usleep(static_cast<useconds_t>(delayMs * 1000));
+        // A uniform fraction in (0, 1) of the reference's wall time: a
+        // checkpointing child does at least the reference's work, so
+        // a fresh child is still running when the signal lands.
+        double fraction = 0.0;
+        while (fraction == 0.0)
+            fraction = rng.nextDouble();
+        const auto delayUs = static_cast<useconds_t>(fraction * referenceUs);
+        ::usleep(delayUs);
         const int signo = round % 2 == 0 ? SIGKILL : SIGABRT;
         ::kill(pid, signo);
         const int status = await(pid);
@@ -231,17 +242,53 @@ runChaosCampaign(const lint::FleetSpec &spec, const ChaosOptions &options)
         logLine(result.log,
                 "round " + std::to_string(round) + ": killed with " +
                     (signo == SIGKILL ? "SIGKILL" : "SIGABRT") +
-                    " after " + std::to_string(delayMs) + " ms (status " +
-                    std::to_string(status) + ")");
+                    " after " + std::to_string(delayUs / 1e3) +
+                    " ms (status " + std::to_string(status) + ")");
+    }
+
+    // One uninterrupted resume to completion, recording what it saw.
+    const auto resumeToCompletion = [&](const std::string &label) {
+        const pid_t pid =
+            spawnCampaignChild(spec, options.threads,
+                               result.checkpointPath, chaosResult);
+        const int status = await(pid);
+        const ChildOutcome outcome = readOutcome(chaosResult);
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || !outcome.ok)
+            throw std::runtime_error(
+                "chaos: " + label + " run failed (checkpoint kept at " +
+                result.checkpointPath + ")");
+        result.resumedDigest = outcome.digest;
+        result.resumeObserved |= outcome.resumed;
+        result.fallbackExercised |= outcome.fellBack;
+        logLine(result.log,
+                label + " digest " + std::to_string(outcome.digest));
+    };
+    const auto primaryAndFallbackExist = [&] {
+        return fs::exists(result.checkpointPath, ignored) &&
+               fs::exists(result.checkpointPath + ".prev", ignored);
+    };
+
+    bool finalRunNeeded = result.resumedDigest == 0;
+    if (options.corruptPrimaryOnce && !primaryAndFallbackExist()) {
+        // The kills left nothing to corrupt with a fallback beside it:
+        // e.g. a kill between the rotate (primary -> .prev) and the
+        // final rename leaves .prev and .tmp but no primary. Resuming
+        // to completion recovers from that state and writes the pair.
+        const auto present = [&](const std::string &suffix) {
+            return fs::exists(result.checkpointPath + suffix, ignored)
+                       ? std::string("1")
+                       : std::string("0");
+        };
+        logLine(result.log, "no checkpoint pair after the kills: primary=" +
+                                present("") + " prev=" + present(".prev") +
+                                " tmp=" + present(".tmp"));
+        resumeToCompletion("recovery resume");
     }
 
     // Corrupt the primary *after* the kill rounds, so the resume that
     // detects it (C104) and falls back to the .prev file is the one
     // guaranteed to run to completion and report the observation.
-    bool finalRunNeeded = result.resumedDigest == 0;
-    if (options.corruptPrimaryOnce &&
-        fs::exists(result.checkpointPath, ignored) &&
-        fs::exists(result.checkpointPath + ".prev", ignored)) {
+    if (options.corruptPrimaryOnce && primaryAndFallbackExist()) {
         std::fstream file(result.checkpointPath,
                           std::ios::in | std::ios::out |
                               std::ios::binary);
@@ -262,24 +309,10 @@ runChaosCampaign(const lint::FleetSpec &spec, const ChaosOptions &options)
         }
     }
 
-    if (finalRunNeeded) {
-        // One uninterrupted resume to completion (and through the
-        // corruption fallback when a byte was flipped above).
-        const pid_t pid =
-            spawnCampaignChild(spec, options.threads,
-                               result.checkpointPath, chaosResult);
-        const int status = await(pid);
-        const ChildOutcome outcome = readOutcome(chaosResult);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || !outcome.ok)
-            throw std::runtime_error(
-                "chaos: final resume run failed (checkpoint kept at " +
-                result.checkpointPath + ")");
-        result.resumedDigest = outcome.digest;
-        result.resumeObserved |= outcome.resumed;
-        result.fallbackExercised |= outcome.fellBack;
-        logLine(result.log, "final resume digest " +
-                                std::to_string(outcome.digest));
-    }
+    // The final resume runs through the corruption fallback when a
+    // byte was flipped above.
+    if (finalRunNeeded)
+        resumeToCompletion("final resume");
 
     logLine(result.log,
             std::string("verdict: ") +

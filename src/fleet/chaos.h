@@ -10,12 +10,19 @@
  * abort-with-unwound-nothing are covered), resumes from the surviving
  * checkpoint, repeats until the campaign completes, and finally
  * asserts the resumed result's digest equals an uninterrupted
- * reference run's — bit-identical, at any thread count.
+ * reference run's — bit-identical, at any thread count. Each kill
+ * delay is a uniform fraction in (0, 1) of the uninterrupted reference
+ * child's wall time, so kills land mid-campaign however fast the
+ * campaign is.
  *
- * It can also flip a byte in the primary checkpoint between rounds
- * (ChaosOptions::corruptPrimaryOnce), forcing the loader down its
- * detect-and-fall-back path so the fault-policy coverage is exercised
- * end to end, not just in unit tests.
+ * It can also flip a byte in the primary checkpoint after the kill
+ * rounds (ChaosOptions::corruptPrimaryOnce), forcing the loader down
+ * its detect-and-fall-back path so the fault-policy coverage is
+ * exercised end to end, not just in unit tests. When the kills left no
+ * primary-plus-fallback pair to corrupt (say, a kill between the
+ * checkpoint rotate and its final rename left only the .prev file), a
+ * resume runs to completion first, which both recovers that state and
+ * writes the pair.
  *
  * Fork-safety contract: the calling process must not have warmed the
  * global ThreadPool (forking a process with live worker threads risks
@@ -44,10 +51,6 @@ struct ChaosOptions
     uint64_t seed = 1;
     /** Maximum kill/resume rounds before the final clean run. */
     int maxKillRounds = 6;
-    /** Smallest delay before killing a child, in milliseconds. */
-    uint64_t minKillDelayMs = 2;
-    /** Kill-delay randomization span on top of the minimum, in ms. */
-    uint64_t killDelaySpanMs = 60;
     /** Directory for checkpoints and result files (must exist). */
     std::string workDir = ".";
     /** Flip one checkpoint byte once, to exercise the fallback path. */

@@ -1,14 +1,19 @@
 /**
  * @file
- * Unit tests for lemons::fleet campaigns: device apportionment,
- * thread-count invariance of every reported number, in-process
- * interrupt/resume equivalence, checkpoint config fingerprinting, the
- * [fleet]/[cohort] spec front end, and the L8xx lint rules.
+ * Unit tests for lemons::fleet campaigns: the closed-form device
+ * sampler against the per-day simulation it replaced, device
+ * apportionment, thread-count invariance of every reported number,
+ * in-process interrupt/resume equivalence, checkpoint config
+ * fingerprinting, the [fleet]/[cohort] spec front end, and the L8xx
+ * lint rules.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
@@ -23,6 +28,10 @@
 #include "lint/diagnostics.h"
 #include "lint/rules.h"
 #include "lint/spec_file.h"
+#include "sim/workload.h"
+#include "util/rng.h"
+#include "wearout/mixture.h"
+#include "wearout/weibull.h"
 
 namespace lemons::fleet {
 namespace {
@@ -100,6 +109,352 @@ smallSpec()
     return spec;
 }
 
+/**
+ * The per-day simulation that sampleDeviceLifetime replaced, kept as
+ * its oracle: each day from entry into service draws a burst Bernoulli
+ * and a Poisson demand, and the device locks out on the first day its
+ * cumulative demand reaches the budget. Same stagger and wear-life
+ * draws, same counter semantics, and the same 0 service days for a
+ * device that enters service after the horizon.
+ */
+DeviceLifetime
+referenceSimulateDevice(Rng &rng, const lint::FleetSpec &spec,
+                        const lint::FleetCohortSpec &cohort,
+                        const wearout::BathtubModel &lifetime)
+{
+    const double entryDay = cohort.staggerDays > 0.0
+                                ? rng.nextDouble() * cohort.staggerDays
+                                : 0.0;
+    const double wearLife = lifetime.sample(rng);
+    const double bound = static_cast<double>(cohort.accessBound);
+    const uint64_t budget = static_cast<uint64_t>(
+        std::max(0.0, std::min(bound, wearLife)));
+
+    DeviceLifetime device;
+    const uint64_t firstDay = static_cast<uint64_t>(entryDay);
+    uint64_t spent = 0;
+    for (uint64_t day = firstDay; day < spec.horizonDays; ++day) {
+        double mean = cohort.usage.meanPerDay;
+        if (cohort.reprovisionDay &&
+            static_cast<double>(day) >= *cohort.reprovisionDay) {
+            device.reprovisioned = true;
+            mean *= cohort.reprovisionUsageScale;
+        }
+        if (cohort.usage.burstProbability > 0.0 &&
+            rng.nextBernoulli(cohort.usage.burstProbability))
+            mean *= cohort.usage.burstMultiplier;
+        spent += sim::poissonSample(rng, mean);
+        if (spent >= budget) {
+            device.replaced = true;
+            device.premature = day < spec.prematureDays;
+            device.serviceDays = static_cast<double>(day - firstDay);
+            return device;
+        }
+    }
+    if (firstDay < spec.horizonDays)
+        device.serviceDays =
+            static_cast<double>(spec.horizonDays - firstDay);
+    return device;
+}
+
+using DeviceSampler = DeviceLifetime (*)(Rng &, const lint::FleetSpec &,
+                                         const lint::FleetCohortSpec &,
+                                         const wearout::BathtubModel &);
+
+wearout::BathtubModel
+lifetimeOf(const lint::FleetCohortSpec &cohort)
+{
+    return wearout::BathtubModel(
+        cohort.lifetime.infantFraction,
+        wearout::Weibull(cohort.lifetime.infant.alpha,
+                         cohort.lifetime.infant.beta),
+        wearout::Weibull(cohort.lifetime.main.alpha,
+                         cohort.lifetime.main.beta));
+}
+
+/** Per-device outcomes of one sampler over one cohort. */
+struct CohortDraws
+{
+    std::vector<double> serviceDays;
+    uint64_t replaced = 0;
+    uint64_t premature = 0;
+    uint64_t reprovisioned = 0;
+};
+
+CohortDraws
+drawCohort(DeviceSampler sampler, const lint::FleetSpec &spec,
+           const lint::FleetCohortSpec &cohort, uint64_t devices,
+           uint64_t seed)
+{
+    // Per-trial engine streams: the draws are the same at any thread
+    // count, so the verdicts below are deterministic.
+    const wearout::BathtubModel lifetime = lifetimeOf(cohort);
+    std::atomic<uint64_t> replaced{0};
+    std::atomic<uint64_t> premature{0};
+    std::atomic<uint64_t> reprovisioned{0};
+    engine::McRunOptions options;
+    options.trials = devices;
+    options.threads = 4;
+    const engine::TrialReport report = engine::runTrials(
+        seed, options, [&](Rng &rng, uint64_t) {
+            const DeviceLifetime device =
+                sampler(rng, spec, cohort, lifetime);
+            replaced += device.replaced ? 1 : 0;
+            premature += device.premature ? 1 : 0;
+            reprovisioned += device.reprovisioned ? 1 : 0;
+            return device.serviceDays;
+        });
+    return {report.samples, replaced.load(), premature.load(),
+            reprovisioned.load()};
+}
+
+/** Pearson chi-square of a 2x2 table: hits a of n vs b of m. */
+double
+chiSquare2x2(uint64_t a, uint64_t n, uint64_t b, uint64_t m)
+{
+    const double total = static_cast<double>(n + m);
+    const double hits = static_cast<double>(a + b);
+    if (hits == 0.0 || hits == total)
+        return 0.0; // both samples all-in or all-out: identical
+    const double observed[2][2] = {
+        {static_cast<double>(a), static_cast<double>(n - a)},
+        {static_cast<double>(b), static_cast<double>(m - b)}};
+    const double rows[2] = {static_cast<double>(n), static_cast<double>(m)};
+    const double columns[2] = {hits, total - hits};
+    double chi = 0.0;
+    for (int r = 0; r < 2; ++r)
+        for (int c = 0; c < 2; ++c) {
+            const double expected = rows[r] * columns[c] / total;
+            chi += (observed[r][c] - expected) *
+                   (observed[r][c] - expected) / expected;
+        }
+    return chi;
+}
+
+/** Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y| (ties
+ *  stepped together, so integer-valued samples are handled exactly). */
+double
+ksStatistic(std::vector<double> x, std::vector<double> y)
+{
+    std::sort(x.begin(), x.end());
+    std::sort(y.begin(), y.end());
+    size_t i = 0;
+    size_t j = 0;
+    double sup = 0.0;
+    while (i < x.size() && j < y.size()) {
+        const double value = std::min(x[i], y[j]);
+        while (i < x.size() && x[i] == value)
+            ++i;
+        while (j < y.size() && y[j] == value)
+            ++j;
+        sup = std::max(
+            sup, std::abs(static_cast<double>(i) /
+                              static_cast<double>(x.size()) -
+                          static_cast<double>(j) /
+                              static_cast<double>(y.size())));
+    }
+    return sup;
+}
+
+/** The shipped smartphone fleet: retail and secondhand cohorts. */
+lint::FleetSpec
+smartphoneSpec()
+{
+    lint::Report report;
+    const lint::ParsedSpec parsed = lint::parseSpecFile(
+        std::string(LEMONS_CONFIG_DIR) + "/fleet_smartphone.lemons",
+        report);
+    if (report.hasErrors() || parsed.fleets.size() != 1)
+        throw std::runtime_error("fleet_smartphone.lemons: " +
+                                 report.format());
+    return parsed.fleets.front();
+}
+
+/**
+ * Closed form vs per-day oracle on one cohort, at fixed seeds (so the
+ * verdict is deterministic): the replaced, premature and reprovisioned
+ * counts by 2x2 chi-square, the service days by two-sample KS, both at
+ * the 99.9 % level.
+ */
+void
+expectSamplersAgree(const lint::FleetSpec &spec,
+                    const lint::FleetCohortSpec &cohort)
+{
+    constexpr uint64_t kDevices = 20000;
+    constexpr double kChiSquare999 = 10.828; // 1 df
+    constexpr double kKs999 = 1.9495;        // c(0.001)
+    const CohortDraws closed =
+        drawCohort(&sampleDeviceLifetime, spec, cohort, kDevices, 0x5eed1);
+    const CohortDraws oracle = drawCohort(&referenceSimulateDevice, spec,
+                                          cohort, kDevices, 0x5eed2);
+    const auto expectCounts = [&](const char *what, uint64_t a,
+                                  uint64_t b) {
+        EXPECT_LT(chiSquare2x2(a, kDevices, b, kDevices), kChiSquare999)
+            << cohort.name << " " << what << ": closed form " << a
+            << " vs per-day " << b << " of " << kDevices;
+    };
+    expectCounts("replaced", closed.replaced, oracle.replaced);
+    expectCounts("premature", closed.premature, oracle.premature);
+    expectCounts("reprovisioned", closed.reprovisioned,
+                 oracle.reprovisioned);
+    const double n = static_cast<double>(kDevices);
+    EXPECT_LT(ksStatistic(closed.serviceDays, oracle.serviceDays),
+              kKs999 * std::sqrt(2.0 / n))
+        << cohort.name << " service days";
+}
+
+TEST(FleetDeviceSampler, MatchesPerDayOracleOnSmartphoneCohorts)
+{
+    const lint::FleetSpec spec = smartphoneSpec();
+    ASSERT_EQ(spec.cohorts.size(), 2u);
+    for (const lint::FleetCohortSpec &cohort : spec.cohorts)
+        expectSamplersAgree(spec, cohort);
+}
+
+TEST(FleetDeviceSampler, MatchesPerDayOracleOnBurstHeavyUsage)
+{
+    const lint::FleetSpec spec = smartphoneSpec();
+    lint::FleetCohortSpec bursty = spec.cohorts[0];
+    bursty.name = "burst-heavy";
+    bursty.usage.meanPerDay = 25.0;
+    bursty.usage.burstProbability = 0.3;
+    bursty.usage.burstMultiplier = 5.0;
+    expectSamplersAgree(spec, bursty);
+}
+
+TEST(FleetDeviceSampler, MatchesPerDayOracleReprovisionedInsidePrematureWindow)
+{
+    const lint::FleetSpec spec = smartphoneSpec();
+    lint::FleetCohortSpec early = spec.cohorts[1];
+    early.name = "early-second-owner";
+    early.reprovisionDay = 200.5; // before premature_days = 365
+    early.reprovisionUsageScale = 4.0;
+    early.usage.burstProbability = 0.1;
+    early.usage.burstMultiplier = 2.0;
+    expectSamplersAgree(spec, early);
+}
+
+TEST(FleetDeviceSampler, MatchesPerDayOracleOnInfantHeavySmallBudgets)
+{
+    const lint::FleetSpec spec = smartphoneSpec();
+    lint::FleetCohortSpec infant = spec.cohorts[0];
+    infant.name = "infant-heavy";
+    infant.staggerDays = 60.0;
+    infant.lifetime.infantFraction = 0.5;
+    infant.lifetime.infant = {400.0, 0.8};
+    infant.usage.burstProbability = 0.1;
+    infant.reprovisionDay = 20.0; // some devices enter after it
+    infant.reprovisionUsageScale = 0.5;
+    expectSamplersAgree(spec, infant);
+}
+
+TEST(FleetDeviceSampler, MatchesPerDayOracleOnTinyBudgets)
+{
+    // A LAB of 3 at 0.05 accesses a day: the lockout is the 3rd access
+    // (or an earlier one for the infant leg's budgets of 0 to 2), weeks
+    // apart, so the exhaustion day is resolved to the single access.
+    const lint::FleetSpec spec = smartphoneSpec();
+    lint::FleetCohortSpec tiny = spec.cohorts[1];
+    tiny.name = "tiny-budget";
+    tiny.accessBound = 3;
+    tiny.usage.meanPerDay = 0.05;
+    tiny.usage.burstProbability = 0.1;
+    tiny.usage.burstMultiplier = 3.0;
+    tiny.lifetime.infantFraction = 0.5;
+    tiny.lifetime.infant = {2.0, 0.8};
+    expectSamplersAgree(spec, tiny);
+}
+
+/** Run both samplers on the same per-device streams. */
+template <typename Check>
+void
+forEachDevicePair(const lint::FleetSpec &spec,
+                  const lint::FleetCohortSpec &cohort, Check check)
+{
+    const wearout::BathtubModel lifetime = lifetimeOf(cohort);
+    const Rng parent(0xed9e);
+    for (uint64_t i = 0; i < 2000; ++i) {
+        Rng closedRng = parent.split(i);
+        Rng oracleRng = parent.split(i);
+        check(sampleDeviceLifetime(closedRng, spec, cohort, lifetime),
+              referenceSimulateDevice(oracleRng, spec, cohort, lifetime));
+    }
+}
+
+void
+expectSameDevice(const DeviceLifetime &a, const DeviceLifetime &b)
+{
+    EXPECT_EQ(a.serviceDays, b.serviceDays);
+    EXPECT_EQ(a.replaced, b.replaced);
+    EXPECT_EQ(a.premature, b.premature);
+    EXPECT_EQ(a.reprovisioned, b.reprovisioned);
+}
+
+TEST(FleetDeviceSampler, ZeroBudgetLocksOutOnTheEntryDay)
+{
+    // The premature threshold and the re-provisioning day both fall
+    // inside the 30-day stagger, so the entry day decides both flags.
+    lint::FleetSpec spec = smartphoneSpec();
+    spec.prematureDays = 15;
+    lint::FleetCohortSpec cohort = spec.cohorts[1];
+    cohort.accessBound = 0;
+    cohort.reprovisionDay = 10.0;
+    uint64_t premature = 0;
+    forEachDevicePair(spec, cohort,
+                      [&](const DeviceLifetime &closed,
+                          const DeviceLifetime &oracle) {
+                          EXPECT_EQ(closed.serviceDays, 0.0);
+                          EXPECT_TRUE(closed.replaced);
+                          expectSameDevice(closed, oracle);
+                          premature += closed.premature ? 1 : 0;
+                      });
+    EXPECT_GT(premature, 0u);
+    EXPECT_LT(premature, 2000u);
+}
+
+TEST(FleetDeviceSampler, ZeroUsageNeverLocksOut)
+{
+    const lint::FleetSpec spec = smartphoneSpec();
+    lint::FleetCohortSpec cohort = spec.cohorts[0];
+    cohort.usage.meanPerDay = 0.0;
+    cohort.reprovisionDay = 45.0;
+    forEachDevicePair(spec, cohort,
+                      [&](const DeviceLifetime &closed,
+                          const DeviceLifetime &oracle) {
+                          EXPECT_FALSE(closed.replaced);
+                          EXPECT_GT(closed.serviceDays,
+                                    static_cast<double>(spec.horizonDays) -
+                                        cohort.staggerDays - 1.0);
+                          expectSameDevice(closed, oracle);
+                      });
+}
+
+TEST(FleetDeviceSampler, EveryDayBurstsMatchAScaledNoBurstCohort)
+{
+    const lint::FleetSpec spec = smartphoneSpec();
+    lint::FleetCohortSpec always = spec.cohorts[1];
+    always.usage.burstProbability = 1.0;
+    always.usage.burstMultiplier = 2.5;
+    lint::FleetCohortSpec scaled = always;
+    scaled.usage.burstProbability = 0.0;
+    scaled.usage.burstMultiplier = 1.0;
+    scaled.usage.meanPerDay = always.usage.meanPerDay * 2.5;
+    const wearout::BathtubModel lifetime = lifetimeOf(always);
+    const Rng parent(0xb0057);
+    uint64_t replaced = 0;
+    for (uint64_t i = 0; i < 2000; ++i) {
+        Rng a = parent.split(i);
+        Rng b = parent.split(i);
+        const DeviceLifetime burst =
+            sampleDeviceLifetime(a, spec, always, lifetime);
+        expectSameDevice(burst,
+                         sampleDeviceLifetime(b, spec, scaled, lifetime));
+        replaced += burst.replaced ? 1 : 0;
+    }
+    // 100 accesses a day exhausts the 91,250 LAB before the horizon.
+    EXPECT_EQ(replaced, 2000u);
+}
+
 TEST(FleetCampaign, ApportionmentIsExactAndDeterministic)
 {
     lint::FleetSpec spec = smallSpec();
@@ -159,6 +514,31 @@ TEST(FleetCampaign, DigestIsThreadCountInvariant)
                       reference.cohorts[i].reprovisioned);
         }
     }
+}
+
+TEST(FleetCampaign, DevicesEnteringAfterTheHorizonServeNoDays)
+{
+    // A stagger window twice the horizon puts about half of each
+    // cohort into service after the campaign ends: those devices serve
+    // 0 days and count as neither replaced nor re-provisioned.
+    lint::FleetSpec spec = smallSpec();
+    const double horizon = static_cast<double>(spec.horizonDays);
+    for (lint::FleetCohortSpec &cohort : spec.cohorts)
+        cohort.staggerDays = 2.0 * horizon;
+    const FleetSummary summary = FleetCampaign(spec).run();
+    ASSERT_TRUE(summary.complete());
+    for (const CohortResult &cohort : summary.cohorts) {
+        SCOPED_TRACE(cohort.name);
+        EXPECT_GE(cohort.serviceDays.min(), 0.0);
+        EXPECT_LE(cohort.serviceDays.max(), horizon);
+        EXPECT_LE(cohort.serviceDays.mean(), horizon / 2.0);
+        EXPECT_LE(cohort.premature, cohort.replaced);
+        EXPECT_LT(static_cast<double>(cohort.replaced),
+                  0.6 * static_cast<double>(cohort.devices));
+        EXPECT_LT(static_cast<double>(cohort.reprovisioned),
+                  0.6 * static_cast<double>(cohort.devices));
+    }
+    EXPECT_GT(summary.cohorts[1].reprovisioned, 0u);
 }
 
 TEST(FleetCampaign, DeadlineInterruptThenResumeMatchesUninterrupted)
