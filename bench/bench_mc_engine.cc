@@ -6,13 +6,11 @@
  * empirical curve in the reproduction.
  */
 
-#include <algorithm>
 #include <string>
 
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
 #include "engine/batch.h"
-#include "engine/cache.h"
 #include "obs/metrics.h"
 #include "sim/monte_carlo.h"
 #include "wearout/population.h"
@@ -182,40 +180,6 @@ LEMONS_BENCH(mcEnginePoolReuse, "mc_engine.pool_reuse")
     ctx.metric("items", static_cast<double>(runs * 64));
     ctx.metric("threads_created",
                static_cast<double>(created.get() - createdBefore));
-}
-
-LEMONS_BENCH(mcEngineCacheHitRate, "mc_engine.cache_hit_rate")
-{
-    // Solver-style probe pattern: repeated (n, k, x) reliability
-    // queries against a fixed device. The memo caches should absorb
-    // nearly everything after the first sweep; the hit rate lands in
-    // BENCH_results.json for the CI bench-smoke artifact.
-    obs::Registry &registry = obs::Registry::global();
-    obs::Counter &hits =
-        registry.counter("sim.mc.cache.weibull_log_survival.hits");
-    obs::Counter &misses =
-        registry.counter("sim.mc.cache.weibull_log_survival.misses");
-    const uint64_t hitsBefore = hits.get();
-    const uint64_t missesBefore = misses.get();
-
-    const uint64_t sweeps = ctx.scaled(200, 5);
-    double acc = 0.0;
-    for (uint64_t s = 0; s < sweeps; ++s)
-        for (uint64_t n = 10; n <= 200; n += 10)
-            for (uint64_t x = 1; x <= 20; ++x)
-                acc += engine::cachedParallelReliability(
-                    14.0, 8.0, n, std::max<uint64_t>(1, n / 10),
-                    static_cast<double>(x));
-    ctx.keep(acc);
-
-    const double hitDelta = static_cast<double>(hits.get() - hitsBefore);
-    const double missDelta =
-        static_cast<double>(misses.get() - missesBefore);
-    ctx.metric("items", hitDelta + missDelta);
-    ctx.metric("cache_hits", hitDelta);
-    ctx.metric("cache_misses", missDelta);
-    ctx.metric("cache_hit_rate",
-               hitDelta / std::max(1.0, hitDelta + missDelta));
 }
 
 LEMONS_BENCH(mcEngineBatchKernel, "mc_engine.batch_kernel")

@@ -54,9 +54,8 @@
 #include "fault/fault_plan.h"
 #include "fault/faulty_device.h"
 
-// engine: pooled, batched, memoized Monte Carlo execution substrate.
+// engine: pooled, batched Monte Carlo execution substrate.
 #include "engine/batch.h"
-#include "engine/cache.h"
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
 

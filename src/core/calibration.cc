@@ -1,6 +1,6 @@
 #include "core/calibration.h"
 
-#include "engine/cache.h"
+#include "arch/structures.h"
 #include "wearout/weibull.h"
 
 namespace lemons::core {
@@ -17,14 +17,13 @@ calibrateAndRedesign(const std::vector<double> &observedLifetimes,
 
     report.nominalDesign = DesignSolver(assumed).solve();
     if (report.nominalDesign.feasible) {
-        report.nominalReliabilityAtBound = engine::cachedParallelReliability(
-            fitted.alpha(), fitted.beta(), report.nominalDesign.width,
-            report.nominalDesign.threshold,
-            static_cast<double>(report.nominalDesign.perCopyBound));
-        report.nominalResidualPastBound = engine::cachedParallelReliability(
-            fitted.alpha(), fitted.beta(), report.nominalDesign.width,
-            report.nominalDesign.threshold,
-            static_cast<double>(report.nominalDesign.deathCheckAccess));
+        const Design &nominal = report.nominalDesign;
+        const arch::ParallelStructure copy(fitted, nominal.width,
+                                           nominal.threshold);
+        report.nominalReliabilityAtBound =
+            copy.reliabilityAt(static_cast<double>(nominal.perCopyBound));
+        report.nominalResidualPastBound = copy.reliabilityAt(
+            static_cast<double>(nominal.deathCheckAccess));
         report.nominalStillMeetsCriteria =
             report.nominalReliabilityAtBound >=
                 assumed.criteria.minReliability &&

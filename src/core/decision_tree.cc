@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "crypto/sha256.h"
-#include "engine/cache.h"
 #include "shamir/shamir.h"
 #include "util/math.h"
 #include "util/require.h"
+#include "wearout/weibull.h"
 
 namespace lemons::core {
 
@@ -32,8 +32,8 @@ OtpAnalytics::OtpAnalytics(const OtpParams &params) : spec(params)
     validateParams(spec);
     logPathSuccessValue =
         static_cast<double>(spec.height) *
-        engine::cachedWeibullLogSurvival(spec.device.alpha,
-                                         spec.device.beta, 1.0);
+        wearout::Weibull(spec.device.alpha, spec.device.beta)
+            .logReliability(1.0);
 }
 
 double
@@ -66,11 +66,10 @@ OtpAnalytics::pathSuccessWithStuckClosed(double epsilon) const
     requireArg(epsilon >= 0.0 && epsilon <= 1.0,
                "OtpAnalytics: stuck-closed rate outside [0, 1]");
     const double perSwitch =
-        epsilon + (1.0 - epsilon) *
-                      engine::cachedWeibullSurvival(spec.device.alpha,
-                                                    spec.device.beta, 1.0);
-    // LEMONS-TIDY-ALLOW(T003): base varies with caller-chosen epsilon,
-    // so a memo keyed on exact operand bits would rarely hit.
+        epsilon +
+        (1.0 - epsilon) *
+            wearout::Weibull(spec.device.alpha, spec.device.beta)
+                .reliability(1.0);
     return std::pow(perSwitch, static_cast<double>(spec.height));
 }
 
@@ -94,7 +93,7 @@ OtpAnalytics::logAdversarySuccessAt(double s) const
     for (uint64_t x = spec.threshold; x <= spec.copies; ++x) {
         const double logProbX = logBinomialPmf(spec.copies, x, s);
         const double logProbRight =
-            engine::cachedLogBinomialTailAtLeast(x, spec.threshold, pRight);
+            logBinomialTailAtLeast(x, spec.threshold, pRight);
         terms.push_back(logProbX + logProbRight);
     }
     return logSumExp(terms);

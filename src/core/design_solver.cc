@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "engine/cache.h"
+#include "arch/structures.h"
 #include "lint/rules.h"
 #include "obs/metrics.h"
 #include "util/math.h"
+#include "wearout/weibull.h"
 
 namespace lemons::core {
 
@@ -14,6 +15,19 @@ namespace {
 
 /** Widest structure the closed-form (k = 1) path will report. */
 constexpr uint64_t unencodedWidthCap = 1'000'000'000'000'000ULL;
+
+wearout::Weibull
+weibullOf(const wearout::DeviceSpec &device)
+{
+    return {device.alpha, device.beta};
+}
+
+/** One k-out-of-n copy of the request's device (Eq. 6 / Eq. 8). */
+arch::ParallelStructure
+copyStructure(const wearout::DeviceSpec &device, uint64_t n, uint64_t k)
+{
+    return {weibullOf(device), n, k};
+}
 
 } // namespace
 
@@ -38,12 +52,7 @@ DesignSolver::thresholdFor(uint64_t n) const
 double
 DesignSolver::copyReliability(uint64_t n, uint64_t k, double x) const
 {
-    // The memoized engine evaluator computes the exact
-    // arch::ParallelStructure expressions; the solver probes the same
-    // (alpha, beta, x) and binomial-tail keys thousands of times across
-    // its width searches, so the cache turns repeats into lookups.
-    return engine::cachedParallelReliability(spec.device.alpha,
-                                             spec.device.beta, n, k, x);
+    return copyStructure(spec.device, n, k).reliabilityAt(x);
 }
 
 double
@@ -55,16 +64,13 @@ DesignSolver::expectedOvershoot(uint64_t n, uint64_t k, uint64_t t) const
     const double logWidth = std::log(static_cast<double>(n) + 2.0);
     const double deathScale =
         spec.device.alpha *
-        // LEMONS-TIDY-ALLOW(T003): one pow per (n, k, t) scan setup,
-        // dwarfed by the cached reliability loop below.
         std::pow(std::max(1.0, logWidth + 5.0), 1.0 / spec.device.beta);
     const auto cap = static_cast<uint64_t>(4.0 * deathScale) + t + 64;
 
+    const arch::ParallelStructure copy = copyStructure(spec.device, n, k);
     double overshoot = 0.0;
     for (uint64_t j = t + 1; j <= cap; ++j) {
-        const double r = engine::cachedParallelReliability(
-            spec.device.alpha, spec.device.beta, n, k,
-            static_cast<double>(j));
+        const double r = copy.reliabilityAt(static_cast<double>(j));
         overshoot += r;
         if (r < 1e-12)
             break;
@@ -78,9 +84,8 @@ DesignSolver::meetsMinReliability(uint64_t n, uint64_t t) const
     const uint64_t k = thresholdFor(n);
     // Through the failure side so "reliability >= 0.9999999" targets
     // stay representable: P(dead at t) <= 1 - minReliability.
-    const double logFailAtBound = engine::cachedParallelLogFailure(
-        spec.device.alpha, spec.device.beta, n, k,
-        static_cast<double>(t));
+    const double logFailAtBound =
+        copyStructure(spec.device, n, k).logFailureAt(static_cast<double>(t));
     return logFailAtBound <= std::log1p(-spec.criteria.minReliability);
 }
 
@@ -90,19 +95,18 @@ DesignSolver::feasibleWidth(uint64_t n, uint64_t t, uint64_t tDead) const
     if (!meetsMinReliability(n, t))
         return false;
     const uint64_t k = thresholdFor(n);
-    const double logAliveAtDeath = engine::cachedParallelLogReliability(
-        spec.device.alpha, spec.device.beta, n, k,
-        static_cast<double>(tDead));
+    const double logAliveAtDeath =
+        copyStructure(spec.device, n, k)
+            .logReliabilityAt(static_cast<double>(tDead));
     return logAliveAtDeath <= std::log(spec.criteria.maxResidualReliability);
 }
 
 std::optional<uint64_t>
 DesignSolver::minimalWidthUnencoded(uint64_t t, uint64_t tDead) const
 {
-    const double logRt = engine::cachedWeibullLogSurvival(
-        spec.device.alpha, spec.device.beta, static_cast<double>(t));
-    const double logRd = engine::cachedWeibullLogSurvival(
-        spec.device.alpha, spec.device.beta, static_cast<double>(tDead));
+    const wearout::Weibull device = weibullOf(spec.device);
+    const double logRt = device.logReliability(static_cast<double>(t));
+    const double logRd = device.logReliability(static_cast<double>(tDead));
     if (logRt == 0.0)
         return std::nullopt; // r_t == 1 exactly: degenerate
     const double logDeadT = log1mExp(logRt);  // ln(1 - r_t)
@@ -135,8 +139,8 @@ DesignSolver::minimalWidth(uint64_t t, uint64_t tDead,
         // With an upper-bound target, pick the smallest width meeting
         // the minimum-reliability criterion, then verify the overshoot
         // (which only grows with width in plain parallel structures).
-        const double logRt = engine::cachedWeibullLogSurvival(
-            spec.device.alpha, spec.device.beta, static_cast<double>(t));
+        const double logRt =
+            weibullOf(spec.device).logReliability(static_cast<double>(t));
         if (logRt == 0.0)
             return std::nullopt;
         const double nMinReal = std::log1p(-spec.criteria.minReliability) /
@@ -153,14 +157,12 @@ DesignSolver::minimalWidth(uint64_t t, uint64_t tDead,
     // Encoded case: both criteria improve with width once the
     // per-device survival straddles the encoding fraction, so the
     // feasible widths form (approximately) an up-set.
-    const double rT = engine::cachedWeibullSurvival(
-        spec.device.alpha, spec.device.beta, static_cast<double>(t));
+    const wearout::Weibull device = weibullOf(spec.device);
+    const double rT = device.reliability(static_cast<double>(t));
     if (rT <= spec.kFraction)
         return std::nullopt;
     if (!overshootSlack) {
-        const double rD = engine::cachedWeibullSurvival(
-            spec.device.alpha, spec.device.beta,
-            static_cast<double>(tDead));
+        const double rD = device.reliability(static_cast<double>(tDead));
         if (rD >= spec.kFraction)
             return std::nullopt;
     }

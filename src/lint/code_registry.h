@@ -28,6 +28,9 @@
  * actually match on. Codes are append-only: a published code never
  * changes meaning and is never renumbered; add new rows at the end of
  * the table (grouping by family is cosmetic — --codes sorts).
+ *
+ * Retired codes, never to be reused: T003 (the tidy check that routed
+ * src/core/ reliability math through the removed engine memo caches).
  */
 
 #ifndef LEMONS_LINT_CODE_REGISTRY_H_
@@ -198,9 +201,6 @@
                            "pool (lemons-no-raw-thread)")                    \
     X(T002, "T002", Error, "nondeterminism source in a simulation TU "       \
                            "(lemons-deterministic-sim)")                     \
-    X(T003, "T003", Warning, "direct Weibull/binomial math on a hot path "   \
-                             "that should use engine::cache "                \
-                             "(lemons-memoized-math)")                       \
     X(T004, "T004", Error, "member mutated under MutexLock without a "       \
                            "GUARDED_BY annotation (lemons-guarded-member)")  \
     X(T005, "T005", Warning, "misused LEMONS_OBS_SCOPED_TIMER or "           \
@@ -222,7 +222,9 @@
     X(S010, "S010", Error, "spec contains no section this endpoint can "     \
                            "run")                                            \
     X(S011, "S011", Error, "request field value out of range")              \
-    X(S012, "S012", Error, "internal error while handling the request")
+    X(S012, "S012", Error, "internal error while handling the request")      \
+    X(L813, "L813", Warning, "provisioning stagger reaches the horizon: "    \
+                             "late entrants serve no days")
 // clang-format on
 
 #endif // LEMONS_LINT_CODE_REGISTRY_H_

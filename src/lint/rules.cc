@@ -583,7 +583,7 @@ checkMixture(const MixtureSpec &spec)
 }
 
 Report
-checkFleet(const FleetSpec &spec)
+checkFleet(const FleetSpec &spec, bool cohortsComplete)
 {
     Report report;
     const std::string object = "FleetSpec";
@@ -625,6 +625,21 @@ checkFleet(const FleetSpec &spec)
             report.add(Code::L806, object, field,
                        "provisioning stagger " + num(cohort.staggerDays) +
                            " days is not a non-negative finite window");
+        } else if (spec.horizonDays >= 1 &&
+                   cohort.staggerDays >=
+                       static_cast<double>(spec.horizonDays)) {
+            const double lateShare =
+                1.0 - static_cast<double>(spec.horizonDays) /
+                          cohort.staggerDays;
+            report.add(Code::L813, object, field,
+                       "provisioning stagger " + num(cohort.staggerDays) +
+                           " days reaches the " +
+                           std::to_string(spec.horizonDays) +
+                           "-day horizon: " + num(100.0 * lateShare) +
+                           "% of the cohort enters after it and serves "
+                           "0 days",
+                       "shorten the rollout window or extend the "
+                       "horizon");
         }
         if (cohort.accessBound < 1)
             report.add(Code::L807, object, field,
@@ -652,7 +667,7 @@ checkFleet(const FleetSpec &spec)
     }
     // Tolerate float accumulation, not misconfiguration: 1e-6 allows
     // "0.1 x 10" spellings while catching a forgotten cohort.
-    if (std::abs(weightSum - 1.0) > 1e-6) {
+    if (cohortsComplete && std::abs(weightSum - 1.0) > 1e-6) {
         report.add(Code::L805, object, "cohorts",
                    "cohort weights sum to " + num(weightSum) +
                        ", not 1: the partition over- or "

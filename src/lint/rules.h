@@ -202,9 +202,14 @@ Report checkWorkload(const WorkloadSpec &spec);
 /** L7xx: bathtub-mixture model rules. */
 Report checkMixture(const MixtureSpec &spec);
 
-/** L8xx: fleet campaign composition (weights, stagger, cadence),
- *  including the L6xx/L7xx passes over every cohort's profile. */
-Report checkFleet(const FleetSpec &spec);
+/**
+ * L8xx: fleet campaign composition (weights, stagger, cadence),
+ * including the L6xx/L7xx passes over every cohort's profile.
+ * @param cohortsComplete false when a cohort of this fleet was dropped
+ *     by a parse error: the remaining weights cannot sum to 1, so the
+ *     L805 partition check is skipped and the parse error stands alone.
+ */
+Report checkFleet(const FleetSpec &spec, bool cohortsComplete = true);
 
 /** Constructor fast paths: throw LintError on error-severity findings. */
 void checkDesignOrThrow(const core::DesignRequest &request);

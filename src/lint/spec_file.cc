@@ -571,6 +571,7 @@ parseSpec(std::string_view text, const std::string &filename,
                   "[fault], [mway], [workload], [mixture], or [fleet] "
                   "section");
     }
+    std::vector<bool> fleetLostCohort;
     using Dispatcher = Report (*)(const Section &, ParsedSpec &);
     static const std::map<std::string, Dispatcher> dispatch = {
         {"design", &parseDesignSection},
@@ -595,12 +596,20 @@ parseSpec(std::string_view text, const std::string &filename,
                       "cohort");
             continue;
         }
-        local.merge(found->second(section, parsed));
+        Report sectionReport = found->second(section, parsed);
+        // A [cohort] with errors was dropped from the latest fleet.
+        if (section.name == "cohort" && sectionReport.hasErrors() &&
+            !parsed.fleets.empty()) {
+            fleetLostCohort.resize(parsed.fleets.size());
+            fleetLostCohort.back() = true;
+        }
+        local.merge(std::move(sectionReport));
     }
     // Fleet rules are cross-section (cohort weights must partition the
     // population), so they run only after every [cohort] has attached.
-    for (const FleetSpec &fleet : parsed.fleets)
-        local.merge(checkFleet(fleet));
+    fleetLostCohort.resize(parsed.fleets.size());
+    for (size_t i = 0; i < parsed.fleets.size(); ++i)
+        local.merge(checkFleet(parsed.fleets[i], !fleetLostCohort[i]));
     local.setFile(filename);
     report.merge(std::move(local));
     return parsed;

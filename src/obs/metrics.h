@@ -13,11 +13,6 @@
  * (Weibull::sample, BathtubModel::sample, poissonSample) on several
  * executor threads at once.
  *
- * Defining LEMONS_OBS_DISABLED (per translation unit, or build-wide
- * via -DLEMONS_OBS_DISABLE=ON) compiles every macro to nothing, so the
- * instrumentation can be proven free when it matters. The classes
- * below remain available either way; only the macros disappear.
- *
  * Snapshots are name-sorted and JSON-serializable (registry design and
  * schema documented in docs/ARCHITECTURE.md, "Observability").
  */
@@ -279,14 +274,6 @@ class Registry
  *    uncontended on the thread's own shard. Batched kernels still
  *    count once per batch with the bulk delta.
  */
-#if defined(LEMONS_OBS_DISABLED)
-
-#define LEMONS_OBS_COUNT(name, delta) static_cast<void>(0)
-#define LEMONS_OBS_INCREMENT(name) static_cast<void>(0)
-#define LEMONS_OBS_SCOPED_TIMER(name) static_cast<void>(0)
-
-#else
-
 /** Add @p delta to the counter @p name (string literal). */
 #define LEMONS_OBS_COUNT(name, delta)                                      \
     do {                                                                   \
@@ -309,7 +296,5 @@ class Registry
     const ::lemons::obs::ScopedTimer LEMONS_OBS_CONCAT(                    \
         lemonsObsTimerGuard, __LINE__)(                                    \
         LEMONS_OBS_CONCAT(lemonsObsTimer, __LINE__))
-
-#endif // LEMONS_OBS_DISABLED
 
 #endif // LEMONS_OBS_METRICS_H_

@@ -2,11 +2,9 @@
  * @file
  * Unit tests for the lemons::engine execution substrate: the
  * persistent thread pool (no thread creation after warmup), the
- * memoized survival-function caches (bit-equal to the uncached
- * evaluators), the batched trial kernels (bit-equal to the per-device
- * sampling path), and the chunked runTrials driver (chunk-size
- * invariance, early-stop prefix identity, streaming/keepSamples
- * agreement).
+ * batched trial kernels (bit-equal to the per-device sampling path),
+ * and the chunked runTrials driver (chunk-size invariance, early-stop
+ * prefix identity, streaming/keepSamples agreement).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +23,6 @@
 #include "arch/structures.h"
 #include "arch/structures_sim.h"
 #include "engine/batch.h"
-#include "engine/cache.h"
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
@@ -88,69 +85,6 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce)
         });
     for (size_t i = 0; i < touched.size(); ++i)
         EXPECT_EQ(touched[i].load(), 1u) << "index " << i;
-}
-
-TEST(Cache, WeibullLogSurvivalBitEqualToUncached)
-{
-    const wearout::Weibull model(14.0, 8.0);
-    for (double x : {0.5, 1.0, 7.3, 14.0, 25.0}) {
-        const double want = model.logReliability(x);
-        // First call misses, second hits; both must be bit-equal to
-        // the direct evaluation.
-        const double miss = cachedWeibullLogSurvival(14.0, 8.0, x);
-        const double hit = cachedWeibullLogSurvival(14.0, 8.0, x);
-        EXPECT_EQ(std::bit_cast<uint64_t>(miss),
-                  std::bit_cast<uint64_t>(want));
-        EXPECT_EQ(std::bit_cast<uint64_t>(hit),
-                  std::bit_cast<uint64_t>(want));
-    }
-}
-
-TEST(Cache, QuantileBitEqualToUncached)
-{
-    const wearout::Weibull model(9.3, 12.0);
-    for (double p : {0.001, 0.25, 0.5, 0.99}) {
-        const double want = model.quantile(p);
-        EXPECT_EQ(std::bit_cast<uint64_t>(
-                      cachedWeibullQuantile(9.3, 12.0, p)),
-                  std::bit_cast<uint64_t>(want));
-        EXPECT_EQ(std::bit_cast<uint64_t>(
-                      cachedWeibullQuantile(9.3, 12.0, p)),
-                  std::bit_cast<uint64_t>(want));
-    }
-}
-
-TEST(Cache, ParallelStructureBitEqualToArchLayer)
-{
-    const wearout::Weibull device(14.0, 8.0);
-    const struct
-    {
-        uint64_t n, k;
-    } points[] = {{40, 1}, {60, 30}, {175, 18}};
-    for (const auto &point : points) {
-        const arch::ParallelStructure structure(device, point.n, point.k);
-        for (uint64_t t = 1; t <= 30; ++t) {
-            const auto x = static_cast<double>(t);
-            EXPECT_EQ(std::bit_cast<uint64_t>(cachedParallelLogReliability(
-                          14.0, 8.0, point.n, point.k, x)),
-                      std::bit_cast<uint64_t>(structure.logReliabilityAt(x)))
-                << "n=" << point.n << " k=" << point.k << " t=" << t;
-            EXPECT_EQ(std::bit_cast<uint64_t>(cachedParallelReliability(
-                          14.0, 8.0, point.n, point.k, x)),
-                      std::bit_cast<uint64_t>(structure.reliabilityAt(x)));
-            EXPECT_EQ(std::bit_cast<uint64_t>(cachedParallelLogFailure(
-                          14.0, 8.0, point.n, point.k, x)),
-                      std::bit_cast<uint64_t>(structure.logFailureAt(x)));
-        }
-    }
-}
-
-TEST(Cache, RejectsInvalidThreshold)
-{
-    EXPECT_THROW(cachedParallelLogReliability(14.0, 8.0, 4, 5, 1.0),
-                 std::invalid_argument);
-    EXPECT_THROW(cachedParallelLogFailure(14.0, 8.0, 4, 0, 1.0),
-                 std::invalid_argument);
 }
 
 TEST(BatchKernel, ParallelSurvivalBitEqualToPerDevicePath)
@@ -339,20 +273,6 @@ TEST(RunTrials, RejectsZeroTrials)
     EXPECT_THROW(
         static_cast<void>(runTrials(1, McRunOptions{}, uniformMetric)),
         std::invalid_argument);
-}
-
-TEST(RunTrials, CacheHitCountersAdvance)
-{
-    obs::Registry &registry = obs::Registry::global();
-    obs::Counter &hits =
-        registry.counter("sim.mc.cache.weibull_log_survival.hits");
-    const uint64_t before = hits.get();
-    // Two sweeps over the same keys: the second is all hits.
-    for (int sweep = 0; sweep < 2; ++sweep)
-        for (uint64_t t = 1; t <= 64; ++t)
-            static_cast<void>(cachedWeibullLogSurvival(
-                123.5, 7.5, static_cast<double>(t)));
-    EXPECT_GE(hits.get() - before, 64u);
 }
 
 TEST(RunTrials, PreCancelledTokenReturnsEmptyPartialReport)

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "arch/structures.h"
 #include "core/decision_tree.h"
@@ -559,6 +560,87 @@ TEST(LintSpecFile, RepeatedSectionsLintIndependently)
                                          "f");
     EXPECT_TRUE(firesError(report, Code::L401));
     EXPECT_EQ(report.errorCount(), 1u);
+}
+
+// --- fleet specs -----------------------------------------------------------
+
+/** A [fleet] with a 0.7 retail and a 0.3 secondhand cohort;
+ *  @p secondhandExtra is appended to the secondhand section. */
+std::string
+fleetText(const std::string &secondhandExtra)
+{
+    return "[fleet]\n"
+           "devices = 1000\n"
+           "horizon_days = 1825\n"
+           "[cohort]\n"
+           "name = retail\n"
+           "weight = 0.7\n"
+           "stagger_days = 90\n"
+           "[cohort]\n"
+           "name = secondhand\n"
+           "weight = 0.3\n" +
+           secondhandExtra;
+}
+
+TEST(LintSpecFile, DroppedCohortReportsOnlyItsParseError)
+{
+    const Report clean = lint::lintText(fleetText(""), "f");
+    EXPECT_TRUE(clean.empty()) << clean.format();
+
+    // The secondhand cohort fails to parse and is dropped; the
+    // remaining 0.7 must not also read as an L805 partition error.
+    const Report report =
+        lint::lintText(fleetText("reprovision_day = nan\n"), "f");
+    EXPECT_TRUE(firesError(report, Code::L905)) << report.format();
+    EXPECT_FALSE(report.hasCode(Code::L805)) << report.format();
+    EXPECT_EQ(report.errorCount(), 1u) << report.format();
+}
+
+TEST(LintSpecFile, DroppedCohortKeepsOtherFleetsWeightCheck)
+{
+    // Only the fleet that lost a cohort skips L805: a later fleet
+    // whose cohorts all parsed still reports its bad partition.
+    const Report report =
+        lint::lintText(fleetText("reprovision_day = nan\n") +
+                           "[fleet]\n"
+                           "devices = 10\n"
+                           "[cohort]\n"
+                           "name = half\n"
+                           "weight = 0.5\n",
+                       "f");
+    EXPECT_TRUE(firesError(report, Code::L905));
+    EXPECT_TRUE(firesError(report, Code::L805)) << report.format();
+    EXPECT_EQ(report.errorCount(), 2u) << report.format();
+}
+
+TEST(LintRules, FleetStaggerReachingTheHorizonWarns)
+{
+    lint::FleetSpec spec;
+    spec.horizonDays = 1825;
+    spec.cohorts.emplace_back();
+    const auto withStagger = [&spec](double days) {
+        spec.cohorts[0].staggerDays = days;
+        return lint::checkFleet(spec);
+    };
+    EXPECT_TRUE(withStagger(1824.0).empty()) << withStagger(1824.0).format();
+
+    for (const double days : {1825.0, 5000.0}) {
+        const Report report = withStagger(days);
+        ASSERT_TRUE(report.hasCode(Code::L813)) << days;
+        EXPECT_FALSE(report.hasErrors()) << report.format();
+        EXPECT_EQ(report.diagnostics().front().severity,
+                  Severity::Warning);
+    }
+    // 1 - 1825/5000 of the cohort enters after the horizon.
+    EXPECT_NE(withStagger(5000.0).format().find("63.5%"),
+              std::string::npos)
+        << withStagger(5000.0).format();
+
+    // A non-finite window is L806 alone.
+    const Report infinite =
+        withStagger(std::numeric_limits<double>::infinity());
+    EXPECT_TRUE(firesError(infinite, Code::L806));
+    EXPECT_FALSE(infinite.hasCode(Code::L813));
 }
 
 } // namespace

@@ -1,10 +1,7 @@
 /**
  * @file
- * lemons::obs in its default (enabled) configuration: metric
- * primitives, registry semantics, snapshot deltas, JSON serialization,
- * and the global-registry macros. The disabled configuration is pinned
- * separately by test_obs_disabled.cc, whose translation unit defines
- * LEMONS_OBS_DISABLED.
+ * lemons::obs: metric primitives, registry semantics, snapshot
+ * deltas, JSON serialization, and the global-registry macros.
  */
 
 #include <gtest/gtest.h>

@@ -17,7 +17,6 @@
 
 #include "DeterministicSimCheck.h"
 #include "GuardedMemberCheck.h"
-#include "MemoizedMathCheck.h"
 #include "NoRawThreadCheck.h"
 #include "ObsScopedTimerCheck.h"
 #include "StatsAccumulationCheck.h"
@@ -34,7 +33,6 @@ class LemonsTidyModule : public clang::tidy::ClangTidyModule
         factories.registerCheck<NoRawThreadCheck>("lemons-no-raw-thread");
         factories.registerCheck<DeterministicSimCheck>(
             "lemons-deterministic-sim");
-        factories.registerCheck<MemoizedMathCheck>("lemons-memoized-math");
         factories.registerCheck<GuardedMemberCheck>("lemons-guarded-member");
         factories.registerCheck<ObsScopedTimerCheck>(
             "lemons-obs-scoped-timer");

@@ -39,7 +39,6 @@ check_for() {
     case "$1" in
         t001) echo lemons-no-raw-thread ;;
         t002) echo lemons-deterministic-sim ;;
-        t003) echo lemons-memoized-math ;;
         t004) echo lemons-guarded-member ;;
         t005) echo lemons-obs-scoped-timer ;;
         t006) echo lemons-stats-accumulation ;;
