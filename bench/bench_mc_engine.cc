@@ -33,7 +33,7 @@ LEMONS_BENCH(mcWeibullSample, "mc.weibull_sample")
 LEMONS_BENCH_REGISTRAR(registerStructureSampleBenches)
 {
     constexpr size_t kPoints[][2] = {
-        {40, 1}, {60, 30}, {175, 18}, {2000, 200}};
+        {40, 1}, {60, 30}, {175, 18}, {1000, 100}, {2000, 200}};
     for (const auto &point : kPoints) {
         const size_t n = point[0];
         const size_t k = point[1];
@@ -193,4 +193,19 @@ LEMONS_BENCH(mcEngineBatchKernel, "mc_engine.batch_kernel")
         ctx.keep(static_cast<double>(
             engine::sampleParallelBankSurvival(model, 175, 18, rng)));
     ctx.metric("items", static_cast<double>(iters * 175));
+}
+
+LEMONS_BENCH(mcEngineBatchKernelWide, "mc_engine.batch_kernel.n1000.k100")
+{
+    // The /v1/mc/run shape: a 100-of-1000 bank of the paper's default
+    // lot (alpha=10, beta=12) on per-trial Philox streams, where the
+    // pivot partition replaces nth_element over the whole bank.
+    const wearout::Weibull model(10.0, 12.0);
+    const uint64_t iters = ctx.scaled(2000, 50);
+    for (uint64_t i = 0; i < iters; ++i) {
+        Rng rng = Rng::trialStream(ctx.seed(), i);
+        ctx.keep(static_cast<double>(
+            engine::sampleParallelBankSurvival(model, 1000, 100, rng)));
+    }
+    ctx.metric("items", static_cast<double>(iters * 1000));
 }

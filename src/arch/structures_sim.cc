@@ -217,7 +217,7 @@ keepSmallest(double *u, size_t m, size_t k)
     if (k == 1)
         u[0] = engine::selectKthSmallest(u, m, 1);
     else
-        std::nth_element(u, u + (k - 1), u + m);
+        engine::selectKthSmallestUniform(u, m, k);
     return k;
 }
 

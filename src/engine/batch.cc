@@ -115,6 +115,31 @@ maxOf(const double *values, size_t count)
     return result;
 }
 
+/**
+ * Banks narrower than this select with plain nth_element: below it the
+ * partition pass costs about as much as the selection it saves.
+ */
+constexpr size_t kPivotMinBank = 64;
+
+/**
+ * Move every value <= @p pivot in front of every value above it and
+ * return how many there are. The swap runs unconditionally and the
+ * count advances by the comparison, so the loop has no data-dependent
+ * branch; the values stay a permutation of the input.
+ */
+size_t
+partitionAtOrBelow(double *u, size_t n, double pivot)
+{
+    size_t low = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const double value = u[i];
+        u[i] = u[low];
+        u[low] = value;
+        low += value <= pivot;
+    }
+    return low;
+}
+
 } // namespace
 
 double
@@ -130,6 +155,38 @@ selectKthSmallest(double *u, size_t n, size_t k)
     if (k == n)
         return maxOf(u, n);
     std::nth_element(u, u + (k - 1), u + n);
+    return u[k - 1];
+}
+
+double
+selectKthSmallestUniform(double *u, size_t n, size_t k)
+{
+    if (k == n)
+        return maxOf(u, n);
+    // Count rank k from the nearer end of the bank; for k > n/2 the
+    // pivot mirrors to the top. About `expected` of n iid uniforms lie
+    // within `expected / n` of that end, and fewer than `rank` do with
+    // probability about 1e-4 at rank 2 and 1e-5 at rank 100. So rank k
+    // nearly always lies in that narrow side, which at rank 100 holds
+    // about 1.4 x 100 values.
+    const bool fromTop = k > n / 2;
+    const double rank = static_cast<double>(fromTop ? n - k + 1 : k);
+    const double expected = rank + 4.0 * std::sqrt(rank) + 4.0;
+    if (n < kPivotMinBank || 2.0 * expected > static_cast<double>(n)) {
+        std::nth_element(u, u + (k - 1), u + n);
+        return u[k - 1];
+    }
+    const double share = expected / static_cast<double>(n);
+    const size_t low = partitionAtOrBelow(u, n, fromTop ? 1.0 - share : share);
+    // Every value in u[0..low) is <= every value in u[low..n), so
+    // selecting rank k inside the side that holds it meets the same
+    // post-condition as nth_element over the whole bank: the k-th
+    // smallest at u[k - 1], nothing larger before it, nothing smaller
+    // after it. The pivot only decides how much work that takes.
+    if (k <= low)
+        std::nth_element(u, u + (k - 1), u + low);
+    else
+        std::nth_element(u + low, u + (k - 1), u + n);
     return u[k - 1];
 }
 
@@ -169,7 +226,7 @@ sampleParallelBankSurvival(const wearout::Weibull &model, size_t n, size_t k,
     double *u = scratchFor(n, stackBuf);
     rng.fillUniformOpenLow(u, n);
     return floorToAccesses(
-        model.sampleFromUniform(selectKthSmallest(u, n, k)));
+        model.sampleFromUniform(selectKthSmallestUniform(u, n, k)));
 }
 
 uint64_t
@@ -209,7 +266,7 @@ sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
                 selected[t] = rng.minUniformOpenLow(n);
             } else {
                 rng.fillUniformOpenLow(u, n);
-                selected[t] = selectKthSmallest(u, n, k);
+                selected[t] = selectKthSmallestUniform(u, n, k);
             }
         }
         model.sampleFromUniformBatch(selected, batch, lifetimes);

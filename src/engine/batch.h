@@ -15,6 +15,16 @@
  * the selected uniform goes through the very same sampleFromUniform),
  * while consuming the identical RNG stream.
  *
+ * The k-th smallest of n uniforms (1 < k < n) comes from
+ * selectKthSmallestUniform: one branchless pass partitions the bank
+ * around a pivot set by n and k alone, just past where the k-th
+ * smallest of n iid uniforms almost always falls, and nth_element then
+ * runs only on the side that holds rank k (about 1.4k values at
+ * k = 100; the far side in the rare bank where the near one falls
+ * short). The partition keeps every value, and the result is a member
+ * of the input, so it is the same double nth_element over the whole
+ * bank returns; the pivot decides only how much work that takes.
+ *
  * On counter-based trial streams (Rng::trialStream) the uniforms are
  * bulk-generated through the dispatched Philox batch and the k == 1 /
  * k == n selections reduce with AVX2 min/max — both bit-identical to
@@ -48,6 +58,18 @@ uint64_t floorToAccesses(double lifetime);
  * does not depend on the strategy. May reorder @p u.
  */
 double selectKthSmallest(double *u, size_t n, size_t k);
+
+/**
+ * k-th smallest of @p u[0..n), 1 <= k <= n, for values drawn as iid
+ * uniforms on (0, 1]. For k < n it leaves @p u as
+ * std::nth_element(u, u + k - 1, u + n) would: the k-th smallest at
+ * u[k - 1] and the k smallest in u[0..k). It partitions around a
+ * pivot predicted from n and k and selects on the side that holds
+ * rank k; any input without NaNs gives the exact result, and only the
+ * speed depends on the values being uniform. k == n reduces with
+ * max and leaves @p u as it is.
+ */
+double selectKthSmallestUniform(double *u, size_t n, size_t k);
 
 /**
  * Survived accesses of one k-out-of-n parallel bank of iid

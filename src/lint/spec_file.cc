@@ -572,6 +572,7 @@ parseSpec(std::string_view text, const std::string &filename,
                   "section");
     }
     std::vector<bool> fleetLostCohort;
+    bool fleetDropped = false;
     using Dispatcher = Report (*)(const Section &, ParsedSpec &);
     static const std::map<std::string, Dispatcher> dispatch = {
         {"design", &parseDesignSection},
@@ -596,7 +597,14 @@ parseSpec(std::string_view text, const std::string &filename,
                       "cohort");
             continue;
         }
+        // The cohorts of a [fleet] that failed to parse go with it:
+        // they would otherwise report a false L902 or attach to an
+        // earlier fleet and unbalance its weights.
+        if (section.name == "cohort" && fleetDropped)
+            continue;
         Report sectionReport = found->second(section, parsed);
+        if (section.name == "fleet")
+            fleetDropped = sectionReport.hasErrors();
         // A [cohort] with errors was dropped from the latest fleet.
         if (section.name == "cohort" && sectionReport.hasErrors() &&
             !parsed.fleets.empty()) {

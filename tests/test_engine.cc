@@ -95,7 +95,8 @@ TEST(BatchKernel, ParallelSurvivalBitEqualToPerDevicePath)
     const struct
     {
         size_t n, k;
-    } points[] = {{1, 1}, {40, 1}, {60, 30}, {175, 18}, {175, 175}};
+    } points[] = {{1, 1},     {40, 1},     {60, 30},  {175, 18},
+                  {175, 175}, {1000, 100}, {1000, 900}};
     for (const auto &point : points) {
         Rng kernelRng(9000);
         Rng referenceRng(9000);
@@ -162,7 +163,8 @@ TEST(BatchKernel, SimdAndScalarKernelsBitIdentical)
     const struct
     {
         size_t n, k;
-    } points[] = {{1, 1}, {40, 1}, {60, 30}, {175, 175}, {512, 7}};
+    } points[] = {{1, 1},    {40, 1},  {60, 30},
+                  {175, 175}, {512, 7}, {1000, 100}};
     for (const auto &point : points) {
         for (uint64_t trial = 0; trial < 16; ++trial) {
             Rng vectorRng = Rng::trialStream(20170624, trial);
@@ -190,6 +192,118 @@ TEST(BatchKernel, SimdAndScalarKernelsBitIdentical)
                 << " trial=" << trial;
         }
     }
+}
+
+/**
+ * selectKthSmallestUniform against nth_element over the whole array:
+ * the same value, and the nth_element post-condition (the k smallest
+ * in front, the k-th at k - 1). Returns false after the first
+ * mismatch so a caller can stop.
+ */
+bool
+expectSelectsLikeNthElement(std::vector<double> values, size_t k,
+                            const char *label)
+{
+    std::vector<double> reference = values;
+    std::nth_element(reference.begin(),
+                     reference.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     reference.end());
+    const double want = reference[k - 1];
+    const double got =
+        selectKthSmallestUniform(values.data(), values.size(), k);
+    const size_t n = values.size();
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << label << " n=" << n << " k=" << k;
+    if (k < n) {
+        EXPECT_EQ(values[k - 1], want) << label << " n=" << n << " k=" << k;
+        std::vector<double> front(values.begin(),
+                                  values.begin() +
+                                      static_cast<std::ptrdiff_t>(k));
+        std::vector<double> smallest = reference;
+        std::sort(front.begin(), front.end());
+        std::sort(smallest.begin(), smallest.end());
+        smallest.resize(k);
+        EXPECT_EQ(front, smallest)
+            << label << ": the k smallest must end up in front, n=" << n
+            << " k=" << k;
+    }
+    // Every value is kept: the array is a permutation of its input.
+    std::sort(values.begin(), values.end());
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(values, reference) << label << " n=" << n << " k=" << k;
+    return !::testing::Test::HasFailure();
+}
+
+TEST(SelectUniform, MatchesNthElementOnUniformBanks)
+{
+    // n on both sides of the small-bank cutoff and of the point where
+    // the predicted side would cover half the bank; k from both ends.
+    Rng rng(4242);
+    for (size_t n : {size_t{2}, size_t{63}, size_t{64}, size_t{65},
+                     size_t{175}, size_t{1000}}) {
+        for (size_t k : {size_t{1}, size_t{2}, n / 10 + 1, n / 2,
+                         n / 2 + 1, n - n / 10, n - 1, n}) {
+            if (k < 1 || k > n)
+                continue;
+            for (int trial = 0; trial < 20; ++trial) {
+                std::vector<double> values(n);
+                rng.fillUniformOpenLow(values.data(), n);
+                ASSERT_TRUE(expectSelectsLikeNthElement(values, k, "uniform"));
+            }
+        }
+    }
+}
+
+TEST(SelectUniform, SelectsOnTheFarSideWhenThePivotMisses)
+{
+    // Pivot for n = 1000, k = 100 lies near 0.144, for k = 900 near
+    // 0.855. A bank with no value at or below the low pivot (or none
+    // above the high one) puts rank k on the far side.
+    const size_t n = 1000;
+    std::vector<double> high(n);
+    std::vector<double> low(n);
+    for (size_t i = 0; i < n; ++i) {
+        high[i] = 0.5 + 0.5 * static_cast<double>((i * 7919) % n) /
+                            static_cast<double>(n);
+        low[i] = 0.5 * static_cast<double>((i * 7919) % n + 1) /
+                 static_cast<double>(n);
+    }
+    EXPECT_TRUE(expectSelectsLikeNthElement(high, 100, "all above pivot"));
+    EXPECT_TRUE(expectSelectsLikeNthElement(low, 900, "all below pivot"));
+    // A near side that holds some values, but fewer than k.
+    std::vector<double> sparse = high;
+    for (size_t i = 0; i < 50; ++i)
+        sparse[i * 20] = 0.001 * static_cast<double>(i + 1);
+    EXPECT_TRUE(expectSelectsLikeNthElement(sparse, 100, "sparse near side"));
+}
+
+TEST(SelectUniform, HandlesValuesEqualToThePivotAndDuplicates)
+{
+    // The n = 1000, k = 100 pivot, computed as the routine does.
+    const size_t n = 1000;
+    const double rank = 100.0;
+    const double pivot =
+        (rank + 4.0 * std::sqrt(rank) + 4.0) / static_cast<double>(n);
+    Rng rng(99);
+    std::vector<double> atPivot(n);
+    rng.fillUniformOpenLow(atPivot.data(), n);
+    for (size_t i = 0; i < n; i += 3)
+        atPivot[i] = pivot;
+    for (size_t k : {size_t{2}, size_t{100}, size_t{400}, size_t{900}})
+        EXPECT_TRUE(expectSelectsLikeNthElement(atPivot, k, "at pivot"));
+
+    // Few distinct values, many repeats of each.
+    std::vector<double> duplicates(n);
+    for (size_t i = 0; i < n; ++i)
+        duplicates[i] = 0.05 * static_cast<double>(1 + (i * 31) % 20);
+    for (size_t k : {size_t{2}, size_t{100}, size_t{500}, size_t{900},
+                     size_t{999}})
+        EXPECT_TRUE(expectSelectsLikeNthElement(duplicates, k, "duplicates"));
+
+    // Every value the same.
+    const std::vector<double> constant(n, 0.25);
+    for (size_t k : {size_t{2}, size_t{100}, size_t{900}})
+        EXPECT_TRUE(expectSelectsLikeNthElement(constant, k, "constant"));
 }
 
 TEST(RunTrials, ChunkSizeDoesNotChangeSamples)

@@ -436,6 +436,24 @@ TEST(FaultBankKernel, MatchesPerDeviceReference)
     EXPECT_EQ(cases, 12u * 15u * 20u * 2u);
 }
 
+TEST(FaultBankKernel, WideBankPartitionsBothClasses)
+{
+    // With half the lot infant, both classes hold about 500 uniforms,
+    // so for mortal k > 1 each class selects its k smallest through
+    // the pivot partition rather than the small-bank fallback.
+    size_t cases = 0;
+    for (double eps : {0.0, 1e-2}) {
+        FaultPlan plan;
+        plan.stuckClosedRate = eps;
+        plan.infantFraction = 0.5;
+        const FaultyDeviceFactory factory(idealFactory(), plan);
+        expectMatchesReference(factory, 1000, {2, 100, 400}, 10, cases);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(cases, 2u * 3u * 10u * 2u);
+}
+
 TEST(FaultBankKernel, GlitchOnlyPlanMatchesPerDeviceReference)
 {
     // Not a null plan, yet every device draws only its lifetime.

@@ -613,6 +613,40 @@ TEST(LintSpecFile, DroppedCohortKeepsOtherFleetsWeightCheck)
     EXPECT_EQ(report.errorCount(), 2u) << report.format();
 }
 
+TEST(LintSpecFile, DroppedFleetTakesItsCohortsWithIt)
+{
+    // The fleet fails to parse and is dropped; its cohorts go with it
+    // instead of each reading as a [cohort] before any [fleet].
+    std::string text = fleetText("");
+    text.replace(text.find("devices = 1000"), 14, "devices = ten");
+    const Report report = lint::lintText(text, "f");
+    EXPECT_TRUE(firesError(report, Code::L905)) << report.format();
+    EXPECT_FALSE(report.hasCode(Code::L902)) << report.format();
+    EXPECT_EQ(report.errorCount(), 1u) << report.format();
+}
+
+TEST(LintSpecFile, DroppedFleetsCohortsDoNotJoinTheEarlierFleet)
+{
+    // The second fleet's weight-1 cohort must not attach to the first
+    // fleet, whose own cohorts already sum to 1. A third fleet parses
+    // again, so its cohort attaches and its bad partition still fires.
+    const Report report = lint::lintText(fleetText("") +
+                                             "[fleet]\n"
+                                             "devices = ten\n"
+                                             "[cohort]\n"
+                                             "name = all\n"
+                                             "weight = 1\n"
+                                             "[fleet]\n"
+                                             "devices = 10\n"
+                                             "[cohort]\n"
+                                             "name = half\n"
+                                             "weight = 0.5\n",
+                                         "f");
+    EXPECT_TRUE(firesError(report, Code::L905)) << report.format();
+    EXPECT_TRUE(firesError(report, Code::L805)) << report.format();
+    EXPECT_EQ(report.errorCount(), 2u) << report.format();
+}
+
 TEST(LintRules, FleetStaggerReachingTheHorizonWarns)
 {
     lint::FleetSpec spec;
