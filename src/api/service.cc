@@ -1,5 +1,6 @@
 #include "api/service.h"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -178,6 +179,37 @@ Service::mcRun(std::string_view body, const McExecution &exec) const
         result.ok = false;
         result.body = renderEnvelope(findings);
         return result;
+    }
+
+    // Refuse oversized work before any trial runs: one wave of trials
+    // never sees the deadline, and a wide bank's uniform buffer stays
+    // with the worker thread.
+    const auto refuse = [&findings](size_t index, const char *field,
+                                    const std::string &what,
+                                    const char *hint) {
+        findings.add(lint::Code::S011, "McRunRequest", field,
+                     "[structure] " + std::to_string(index + 1) + ": " +
+                         what,
+                     hint);
+        return badRequest(findings);
+    };
+    uint64_t deviceDraws = 0;
+    for (size_t index = 0; index < parsed.structures.size(); ++index) {
+        const uint64_t n = parsed.structures[index].n;
+        if (n > kMcMaxWidth)
+            return refuse(index, "spec",
+                          "n = " + std::to_string(n) +
+                              " exceeds the limit of " +
+                              std::to_string(kMcMaxWidth) + " devices",
+                          "simulate a narrower bank");
+        deviceDraws += request.trials * n;
+        if (deviceDraws > kMcMaxDeviceDraws)
+            return refuse(index, "trials",
+                          "trials x n summed over the sections exceeds "
+                          "the limit of " +
+                              std::to_string(kMcMaxDeviceDraws) +
+                              " device draws",
+                          "ask for fewer trials or narrower banks");
     }
 
     std::vector<McStructureResult> results;

@@ -60,6 +60,15 @@ struct SpecRequest
 /** Hard ceilings on what one /v1/mc/run request may ask for. */
 inline constexpr uint64_t kMcMaxTrials = 1u << 20;
 inline constexpr unsigned kMcMaxThreads = 16;
+/** Widest [structure] (n): 32 MiB of uniforms in a worker's bank buffer. */
+inline constexpr uint64_t kMcMaxWidth = uint64_t{1} << 22;
+/**
+ * Device draws per request, the sum over its [structure] sections of
+ * trials x n. The deadline and drain cancel are polled between waves
+ * of trials, so this bounds the work a request can do without seeing
+ * them.
+ */
+inline constexpr uint64_t kMcMaxDeviceDraws = uint64_t{1} << 32;
 
 /**
  * POST /v1/mc/run: Monte Carlo over the [structure] sections of an

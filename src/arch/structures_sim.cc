@@ -296,18 +296,16 @@ sampleFaultyNominalBank(const fault::FaultyDeviceFactory &factory, size_t n,
     const size_t infantKept =
         keepSmallest(infant.data(), infantCount, mortalK);
     double *lifetimes = draws.data();
-    double *infantLifetimes = lifetimes + healthyKept;
-    std::copy_n(infant.data(), infantKept, infantLifetimes);
-    healthy.sampleFromUniformBatch(lifetimes, healthyKept + infantKept,
-                                   lifetimes);
+    for (size_t i = 0; i < healthyKept; ++i)
+        lifetimes[i] = healthy.sampleFromUniform(lifetimes[i]);
     if (infantKept > 0) {
         const wearout::Weibull early(plan.infantScaleFraction *
                                          factory.base().spec().alpha,
                                      plan.infantShape);
-        early.sampleFromUniformBatch(infant.data(), infantKept,
-                                     infant.data());
         for (size_t i = 0; i < infantKept; ++i)
-            infantLifetimes[i] = std::min(infantLifetimes[i], infant[i]);
+            lifetimes[healthyKept + i] =
+                std::min(healthy.sampleFromUniform(infant[i]),
+                         early.sampleFromUniform(infant[i]));
     }
     // The k'-th largest of the candidates is their
     // (candidates - k' + 1)-th smallest.

@@ -30,9 +30,6 @@ thread_local std::vector<double> uniformScratch;
  *  guard, no resize bookkeeping on the per-trial hot path. */
 constexpr size_t kStackBankWidth = 512;
 
-/** Trials per transform batch in the Many kernel. */
-constexpr size_t kManyBatch = 256;
-
 double *
 scratchFor(size_t n, double *stackBuf)
 {
@@ -52,6 +49,8 @@ scratchFor(size_t n, double *stackBuf)
  * returns the identical VALUE as the scalar loop regardless of the
  * association order — which is all the bit-identity contract needs
  * (the selected uniform, not any intermediate, feeds the transform).
+ * The fault kernel's per-class selects over 34,311-wide plain banks
+ * with infant mortality run here.
  */
 __attribute__((target("avx2"))) double
 minOfAvx2(const double *values, size_t count)
@@ -252,27 +251,17 @@ sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
     LEMONS_OBS_COUNT("wearout.weibull.samples", n * trials);
     double stackBuf[kStackBankWidth];
     double *u = scratchFor(n, stackBuf);
-    // Select each trial's uniform, then push the order statistics
-    // through the four-lane batched inverse CDF. Identical draws and
-    // identical per-element operation sequence as `trials` sequential
+    // The same draws, selection and transform as `trials` sequential
     // sampleParallelBankSurvival calls, hence bit-identical results.
-    double selected[kManyBatch];
-    double lifetimes[kManyBatch];
-    size_t done = 0;
-    while (done < trials) {
-        const size_t batch = std::min(kManyBatch, trials - done);
-        for (size_t t = 0; t < batch; ++t) {
-            if (k == 1) {
-                selected[t] = rng.minUniformOpenLow(n);
-            } else {
-                rng.fillUniformOpenLow(u, n);
-                selected[t] = selectKthSmallestUniform(u, n, k);
-            }
+    for (size_t t = 0; t < trials; ++t) {
+        double selected = 0.0;
+        if (k == 1) {
+            selected = rng.minUniformOpenLow(n);
+        } else {
+            rng.fillUniformOpenLow(u, n);
+            selected = selectKthSmallestUniform(u, n, k);
         }
-        model.sampleFromUniformBatch(selected, batch, lifetimes);
-        for (size_t t = 0; t < batch; ++t)
-            out[done + t] = floorToAccesses(lifetimes[t]);
-        done += batch;
+        out[t] = floorToAccesses(model.sampleFromUniform(selected));
     }
 }
 

@@ -26,10 +26,13 @@
  * bank returns; the pivot decides only how much work that takes.
  *
  * On counter-based trial streams (Rng::trialStream) the uniforms are
- * bulk-generated through the dispatched Philox batch and the k == 1 /
- * k == n selections reduce with AVX2 min/max — both bit-identical to
- * the scalar path, so SIMD width never changes results (enforced by
- * the determinism suites).
+ * bulk-generated through the dispatched Philox batch, and a k == 1 /
+ * k == n selection over an array already in memory reduces with AVX2
+ * min/max (the fault kernel's 34,311-wide plain banks with infant
+ * mortality select that way). Both are bit-identical to the scalar
+ * path, so SIMD width never changes results (enforced by the
+ * determinism suites). The Weibull transform itself is scalar: each
+ * bank pays for one.
  */
 
 #ifndef LEMONS_ENGINE_BATCH_H_
@@ -92,8 +95,9 @@ uint64_t sampleSeriesBankSurvival(const wearout::Weibull &model, size_t n,
 /**
  * Batched form: fill @p out[0..trials) with independent parallel-bank
  * survivals, drawing all randomness from @p rng in trial order. The
- * per-trial draws match `trials` sequential sampleParallelBankSurvival
- * calls exactly.
+ * per-trial draws and results match `trials` sequential
+ * sampleParallelBankSurvival calls exactly. The end-to-end benchmark's
+ * engine.kernel_ns_per_device metric times this loop.
  */
 void sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
                                     size_t k, Rng &rng, uint64_t *out,

@@ -2,14 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <iterator>
-
-#include "util/simd.h"
-
-#if defined(__x86_64__) && !defined(LEMONS_NO_SIMD)
-#define LEMONS_FASTMATH_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace lemons::fastmath {
 
@@ -29,11 +21,9 @@ constexpr double kShifter = 6755399441055744.0;
 constexpr double kExpBias = 4503599627370496.0 + 1022.0;
 
 // exp(r) Taylor coefficients 1/k! for k = 0 .. 13, lowest first.
-// |r| <= ln2/2 after reduction, so truncation is below 1 ulp. Both
-// evaluators (scalar and four-lane) use the SAME fixed Estrin
-// grouping — see expPoly below — so lanes stay bit-identical to
-// scalar calls while the dependency chain is ~3x shorter than
-// Horner's.
+// |r| <= ln2/2 after reduction, so truncation is below 1 ulp. The
+// fixed Estrin grouping of expPoly below keeps the dependency chain
+// ~3x shorter than Horner's.
 constexpr double kExpC[] = {
     1.0,           1.0,           1.0 / 2.0,       1.0 / 6.0,
     1.0 / 24.0,    1.0 / 120.0,   1.0 / 720.0,     1.0 / 5040.0,
@@ -43,8 +33,8 @@ constexpr double kExpC[] = {
 
 // atanh series for log(m) = s * (2 + z * P(z)), s = (m-1)/(m+1),
 // z = s^2 <= 0.0295 on [sqrt(1/2), sqrt(2)); coefficients 2/(2k+3)
-// for z^k, lowest order first. Same fixed Estrin grouping in both
-// evaluators (logPoly below).
+// for z^k, lowest order first, evaluated with the fixed Estrin
+// grouping of logPoly below.
 constexpr double kLogC[] = {
     2.0 / 3.0,  2.0 / 5.0,  2.0 / 7.0,  2.0 / 9.0,  2.0 / 11.0,
     2.0 / 13.0, 2.0 / 15.0, 2.0 / 17.0, 2.0 / 19.0, 2.0 / 21.0,
@@ -54,7 +44,7 @@ constexpr double kLogC[] = {
 /**
  * Degree-13 Estrin evaluation of sum kExpC[i] * r^i. The grouping
  * (and hence the rounding sequence) is part of the deterministic
- * contract; detExp4 mirrors it operation for operation.
+ * contract.
  */
 inline double
 expPoly(double r)
@@ -93,142 +83,6 @@ logPoly(double z)
     const double q2 = e + z2 * f;
     return (q0 + z4 * q1) + z8 * q2;
 }
-
-#if defined(LEMONS_FASTMATH_AVX2)
-
-/**
- * Four-lane mirrors of detLog/detExp: every lane executes the same
- * IEEE operation sequence as the scalar functions (no FMA — the
- * translation unit builds with contraction off), so each lane's result
- * is bit-identical to the scalar call on the same input.
- */
-
-/** Lane mirror of expPoly: same Estrin grouping, same rounding. */
-/** (hi * x + lo) on four lanes — the Estrin coefficient-pair step. */
-__attribute__((target("avx2"))) inline __m256d
-coeffPair4(__m256d x, double hi, double lo)
-{
-    return _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(hi), x),
-                         _mm256_set1_pd(lo));
-}
-
-__attribute__((target("avx2"))) inline __m256d
-expPoly4(__m256d r)
-{
-    const __m256d r2 = _mm256_mul_pd(r, r);
-    const __m256d r4 = _mm256_mul_pd(r2, r2);
-    const __m256d r8 = _mm256_mul_pd(r4, r4);
-    const __m256d a = coeffPair4(r, kExpC[1], kExpC[0]);
-    const __m256d b = coeffPair4(r, kExpC[3], kExpC[2]);
-    const __m256d c = coeffPair4(r, kExpC[5], kExpC[4]);
-    const __m256d d = coeffPair4(r, kExpC[7], kExpC[6]);
-    const __m256d e = coeffPair4(r, kExpC[9], kExpC[8]);
-    const __m256d f = coeffPair4(r, kExpC[11], kExpC[10]);
-    const __m256d g = coeffPair4(r, kExpC[13], kExpC[12]);
-    const __m256d q0 = _mm256_add_pd(a, _mm256_mul_pd(r2, b));
-    const __m256d q1 = _mm256_add_pd(c, _mm256_mul_pd(r2, d));
-    const __m256d q2 = _mm256_add_pd(
-        _mm256_add_pd(e, _mm256_mul_pd(r2, f)), _mm256_mul_pd(r4, g));
-    return _mm256_add_pd(_mm256_add_pd(q0, _mm256_mul_pd(r4, q1)),
-                         _mm256_mul_pd(r8, q2));
-}
-
-/** Lane mirror of logPoly: same Estrin grouping, same rounding. */
-__attribute__((target("avx2"))) inline __m256d
-logPoly4(__m256d z)
-{
-    const __m256d z2 = _mm256_mul_pd(z, z);
-    const __m256d z4 = _mm256_mul_pd(z2, z2);
-    const __m256d z8 = _mm256_mul_pd(z4, z4);
-    const __m256d a = coeffPair4(z, kLogC[1], kLogC[0]);
-    const __m256d b = coeffPair4(z, kLogC[3], kLogC[2]);
-    const __m256d c = coeffPair4(z, kLogC[5], kLogC[4]);
-    const __m256d d = coeffPair4(z, kLogC[7], kLogC[6]);
-    const __m256d e = coeffPair4(z, kLogC[9], kLogC[8]);
-    const __m256d f = coeffPair4(z, kLogC[11], kLogC[10]);
-    const __m256d q0 = _mm256_add_pd(a, _mm256_mul_pd(z2, b));
-    const __m256d q1 = _mm256_add_pd(c, _mm256_mul_pd(z2, d));
-    const __m256d q2 = _mm256_add_pd(e, _mm256_mul_pd(z2, f));
-    return _mm256_add_pd(_mm256_add_pd(q0, _mm256_mul_pd(z4, q1)),
-                         _mm256_mul_pd(z8, q2));
-}
-
-__attribute__((target("avx2"))) inline __m256d
-detLog4(__m256d x)
-{
-    const __m256i bits = _mm256_castpd_si256(x);
-    const __m256i mantissaMask =
-        _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFFFFFFFULL));
-    const __m256i halfBits =
-        _mm256_set1_epi64x(static_cast<long long>(0x3FE0000000000000ULL));
-    const __m256i expField = _mm256_srli_epi64(bits, 52);
-    // (2^52 | exponent) - (2^52 + 1022) == unbiased exponent, exactly.
-    const __m256d eRaw = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(
-            expField, _mm256_castpd_si256(_mm256_set1_pd(0x1.0p52)))),
-        _mm256_set1_pd(kExpBias));
-    const __m256d mRaw = _mm256_castsi256_pd(_mm256_or_si256(
-        _mm256_and_si256(bits, mantissaMask), halfBits));
-    const __m256d low =
-        _mm256_cmp_pd(mRaw, _mm256_set1_pd(kSqrtHalf), _CMP_LT_OQ);
-    const __m256d m =
-        _mm256_blendv_pd(mRaw, _mm256_add_pd(mRaw, mRaw), low);
-    const __m256d e = _mm256_blendv_pd(
-        eRaw, _mm256_sub_pd(eRaw, _mm256_set1_pd(1.0)), low);
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d s = _mm256_div_pd(_mm256_sub_pd(m, one),
-                                    _mm256_add_pd(m, one));
-    const __m256d z = _mm256_mul_pd(s, s);
-    const __m256d p = logPoly4(z);
-    const __m256d logm = _mm256_mul_pd(
-        s, _mm256_add_pd(_mm256_set1_pd(2.0), _mm256_mul_pd(z, p)));
-    return _mm256_add_pd(
-        _mm256_mul_pd(e, _mm256_set1_pd(kLn2Hi)),
-        _mm256_add_pd(_mm256_mul_pd(e, _mm256_set1_pd(kLn2Lo)), logm));
-}
-
-__attribute__((target("avx2"))) inline __m256d
-detExp4(__m256d x)
-{
-    const __m256d shifter = _mm256_set1_pd(kShifter);
-    const __m256d t = _mm256_add_pd(
-        _mm256_mul_pd(x, _mm256_set1_pd(kLog2E)), shifter);
-    const __m256d n = _mm256_sub_pd(t, shifter);
-    __m256d r =
-        _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(kLn2Hi)));
-    r = _mm256_sub_pd(r, _mm256_mul_pd(n, _mm256_set1_pd(kLn2Lo)));
-    const __m256d p = expPoly4(r);
-    // n is exactly integral, so the int conversion is exact at any
-    // rounding mode; build 2^n as bits and scale.
-    const __m256i ni = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
-    const __m256i scaleBits = _mm256_slli_epi64(
-        _mm256_add_epi64(ni, _mm256_set1_epi64x(1023)), 52);
-    return _mm256_mul_pd(p, _mm256_castsi256_pd(scaleBits));
-}
-
-__attribute__((target("avx2"))) void
-detPowBatchAvx2(const double *base, size_t count, double exponent,
-                double *out)
-{
-    const double zeroResult = exponent == 0.0 ? 1.0 : 0.0;
-    const __m256d zeroFill = _mm256_set1_pd(zeroResult);
-    const __m256d exponent4 = _mm256_set1_pd(exponent);
-    size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        const __m256d b = _mm256_loadu_pd(base + i);
-        // Zero lanes run detLog on garbage and get blended away below.
-        const __m256d isZero =
-            _mm256_cmp_pd(b, _mm256_setzero_pd(), _CMP_EQ_OQ);
-        const __m256d powed =
-            detExp4(_mm256_mul_pd(exponent4, detLog4(b)));
-        _mm256_storeu_pd(out + i,
-                         _mm256_blendv_pd(powed, zeroFill, isZero));
-    }
-    for (; i < count; ++i)
-        out[i] = detPow(base[i], exponent);
-}
-
-#endif // LEMONS_FASTMATH_AVX2
 
 } // namespace
 
@@ -274,19 +128,6 @@ detPow(double base, double exponent)
     if (base == 0.0)
         return exponent == 0.0 ? 1.0 : 0.0;
     return detExp(exponent * detLog(base));
-}
-
-void
-detPowBatch(const double *base, size_t count, double exponent, double *out)
-{
-#if defined(LEMONS_FASTMATH_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2) {
-        detPowBatchAvx2(base, count, exponent, out);
-        return;
-    }
-#endif
-    for (size_t i = 0; i < count; ++i)
-        out[i] = detPow(base[i], exponent);
 }
 
 } // namespace lemons::fastmath

@@ -9,9 +9,9 @@
  * one elementary-function call on the trial hot path, so the library
  * pins its own fixed-operation-sequence implementations here: detLog /
  * detExp / detPow execute the exact same IEEE double operations in the
- * same order on every platform, and the AVX2 four-lane batch mirrors
- * the scalar sequence operation for operation — so scalar and vector
- * dispatch are bit-identical by construction, not by luck.
+ * same order on every platform. They are scalar only: a bank transforms
+ * one order statistic, or at most 2k' fault candidates, so no vector
+ * batch pays for its code.
  *
  * Accuracy is a few ulp (argument reduction + polynomial, no fused
  * multiply-adds), which the statistical suites bound end-to-end; these
@@ -25,8 +25,6 @@
 
 #ifndef LEMONS_UTIL_FASTMATH_H_
 #define LEMONS_UTIL_FASTMATH_H_
-
-#include <cstddef>
 
 namespace lemons::fastmath {
 
@@ -49,15 +47,6 @@ double detExp(double x);
  *      and |exponent * detLog(base)| <= 700.
  */
 double detPow(double base, double exponent);
-
-/**
- * Batched power: out[i] = detPow(base[i], exponent) for i in
- * [0, count). Dispatches to the AVX2 four-lane kernel when
- * simd::activeLevel() allows; bit-identical to the scalar loop at any
- * dispatch level. @p out may alias @p base.
- */
-void detPowBatch(const double *base, size_t count, double exponent,
-                 double *out);
 
 } // namespace lemons::fastmath
 

@@ -26,18 +26,6 @@ mulHiLo(uint32_t a, uint32_t b, uint32_t &hi)
  */
 constexpr uint64_t kKeyDomainTag = 0x7068696C6F783478ULL;
 
-void
-fillRaw64Scalar(Key key, uint64_t trial, uint64_t firstBlock, uint64_t *out,
-                size_t blockCount)
-{
-    for (size_t i = 0; i < blockCount; ++i) {
-        const Counter output = block(makeCounter(trial, firstBlock + i), key);
-        const std::array<uint64_t, 2> draws = blockDraws(output);
-        out[2 * i] = draws[0];
-        out[2 * i + 1] = draws[1];
-    }
-}
-
 /** Draw -> (0, 1] uniform, the library-wide 53-bit convention. */
 inline double
 toUniformOpenLow(uint64_t w)
@@ -45,26 +33,50 @@ toUniformOpenLow(uint64_t w)
     return static_cast<double>((w >> 11) + 1) * 0x1.0p-53;
 }
 
+/** What a generation pass does with the uniforms of its blocks. */
+enum class Use { Fill, Min, Max };
+
+/** Fold @p u into the running minimum (Min) or maximum (Max). */
+template <Use U>
+inline void
+foldExtreme(double &extreme, double u)
+{
+    if constexpr (U == Use::Min)
+        extreme = u < extreme ? u : extreme;
+    else
+        extreme = u > extreme ? u : extreme;
+}
+
+/**
+ * Scalar pass over blocks [firstBlock, firstBlock + blockCount): Fill
+ * writes their uniforms to out[2 * at ...], Min and Max fold them into
+ * @p extreme (out is unused and may be null).
+ */
+template <Use U>
 void
-fillUniformScalar(Key key, uint64_t trial, uint64_t firstBlock, double *out,
-                  size_t blockCount)
+uniformsScalar(Key key, uint64_t trial, uint64_t firstBlock, double *out,
+               size_t at, size_t blockCount, double &extreme)
 {
     for (size_t i = 0; i < blockCount; ++i) {
         const std::array<uint64_t, 2> draws =
             blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        out[2 * i] = toUniformOpenLow(draws[0]);
-        out[2 * i + 1] = toUniformOpenLow(draws[1]);
+        for (size_t j = 0; j < 2; ++j) {
+            const double u = toUniformOpenLow(draws[j]);
+            if constexpr (U == Use::Fill)
+                out[2 * (at + i) + j] = u;
+            else
+                foldExtreme<U>(extreme, u);
+        }
     }
 }
 
 #if defined(LEMONS_PHILOX_AVX2)
 
-/**
- * Four Philox blocks at once: every counter/key word lives as a 32-bit
- * value in a 64-bit lane, so _mm256_mul_epu32 delivers the four
- * 32x32->64 products of one round in a single instruction. Pure
- * integer arithmetic, hence bit-identical to fillRaw64Scalar.
- */
+// AVX2 Philox: every counter/key word lives as a 32-bit value in a
+// 64-bit lane, so _mm256_mul_epu32 delivers the four 32x32->64
+// products of one round for four blocks in a single instruction. Pure
+// integer arithmetic, hence bit-identical to block().
+
 /** Draws of four consecutive blocks, in stream order (4 per vector). */
 struct DrawsX4
 {
@@ -94,39 +106,6 @@ philoxCountersX4Avx2(uint64_t trial, uint64_t firstBlock)
             _mm256_set1_epi64x(static_cast<long long>(trial >> 32))};
 }
 
-__attribute__((target("avx2"))) inline StateX4
-philoxRoundsX4Avx2(StateX4 s, Key key)
-{
-    const __m256i mult0 = _mm256_set1_epi64x(static_cast<long long>(kMult0));
-    const __m256i mult1 = _mm256_set1_epi64x(static_cast<long long>(kMult1));
-    // Weyl increments sit in the low dword of each lane so a plain
-    // 32-bit lane add reproduces the scalar key bump's mod-2^32 wrap.
-    const __m256i weyl0 = _mm256_set1_epi64x(static_cast<long long>(kWeyl0));
-    const __m256i weyl1 = _mm256_set1_epi64x(static_cast<long long>(kWeyl1));
-    const __m256i mask32 =
-        _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFFULL));
-    __m256i k0 = _mm256_set1_epi64x(static_cast<long long>(key[0]));
-    __m256i k1 = _mm256_set1_epi64x(static_cast<long long>(key[1]));
-
-    for (int round = 0; round < kRounds; ++round) {
-        if (round != 0) {
-            k0 = _mm256_add_epi32(k0, weyl0);
-            k1 = _mm256_add_epi32(k1, weyl1);
-        }
-        const __m256i product0 = _mm256_mul_epu32(s.c0, mult0);
-        const __m256i product1 = _mm256_mul_epu32(s.c2, mult1);
-        const __m256i hi0 = _mm256_srli_epi64(product0, 32);
-        const __m256i lo0 = _mm256_and_si256(product0, mask32);
-        const __m256i hi1 = _mm256_srli_epi64(product1, 32);
-        const __m256i lo1 = _mm256_and_si256(product1, mask32);
-        s.c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, s.c1), k0);
-        s.c1 = lo1;
-        s.c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, s.c3), k1);
-        s.c3 = lo0;
-    }
-    return s;
-}
-
 __attribute__((target("avx2"))) inline DrawsX4
 philoxDrawsX4Avx2(const StateX4 &s)
 {
@@ -142,32 +121,31 @@ philoxDrawsX4Avx2(const StateX4 &s)
             _mm256_permute2x128_si256(evenPairs, oddPairs, 0x31)};
 }
 
-__attribute__((target("avx2"))) inline DrawsX4
-philoxBlocksX4Avx2(Key key, uint64_t trial, uint64_t firstBlock)
-{
-    return philoxDrawsX4Avx2(
-        philoxRoundsX4Avx2(philoxCountersX4Avx2(trial, firstBlock), key));
-}
-
 /**
- * Two independent four-block groups with their round loops interleaved
- * in one body: the ten-round chain of one group is latency-bound (each
- * round's multiplies wait on the previous round), so pairing it with a
- * second, data-independent chain roughly doubles multiplier
- * utilization. Bit-identical to two philoxBlocksX4Avx2 calls.
+ * G independent four-block groups (blocks firstBlock ..
+ * firstBlock + 4G) with their round bodies interleaved. One group's
+ * ten-round chain is latency-bound: each round's multiplies wait on
+ * the previous round. Interleaving G data-independent chains lets
+ * them hide each other's multiply latency. Bit-identical to G
+ * single-group calls.
  */
+template <size_t G>
 __attribute__((target("avx2"))) inline void
-philoxBlocksX8Avx2(Key key, uint64_t trial, uint64_t firstBlock, DrawsX4 &a,
-                   DrawsX4 &b)
+philoxGroupsAvx2(Key key, uint64_t trial, uint64_t firstBlock,
+                 DrawsX4 (&out)[G])
 {
     const __m256i mult0 = _mm256_set1_epi64x(static_cast<long long>(kMult0));
     const __m256i mult1 = _mm256_set1_epi64x(static_cast<long long>(kMult1));
+    // Weyl increments sit in the low dword of each lane so a plain
+    // 32-bit lane add reproduces the scalar key bump's mod-2^32 wrap.
     const __m256i weyl0 = _mm256_set1_epi64x(static_cast<long long>(kWeyl0));
     const __m256i weyl1 = _mm256_set1_epi64x(static_cast<long long>(kWeyl1));
     const __m256i mask32 =
         _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFFULL));
-    StateX4 sa = philoxCountersX4Avx2(trial, firstBlock);
-    StateX4 sb = philoxCountersX4Avx2(trial, firstBlock + 4);
+    StateX4 s[G];
+#pragma GCC unroll 4
+    for (size_t g = 0; g < G; ++g)
+        s[g] = philoxCountersX4Avx2(trial, firstBlock + 4 * g);
     __m256i k0 = _mm256_set1_epi64x(static_cast<long long>(key[0]));
     __m256i k1 = _mm256_set1_epi64x(static_cast<long long>(key[1]));
 
@@ -176,207 +154,26 @@ philoxBlocksX8Avx2(Key key, uint64_t trial, uint64_t firstBlock, DrawsX4 &a,
             k0 = _mm256_add_epi32(k0, weyl0);
             k1 = _mm256_add_epi32(k1, weyl1);
         }
-        const __m256i pa0 = _mm256_mul_epu32(sa.c0, mult0);
-        const __m256i pb0 = _mm256_mul_epu32(sb.c0, mult0);
-        const __m256i pa1 = _mm256_mul_epu32(sa.c2, mult1);
-        const __m256i pb1 = _mm256_mul_epu32(sb.c2, mult1);
-        const __m256i hia0 = _mm256_srli_epi64(pa0, 32);
-        const __m256i hib0 = _mm256_srli_epi64(pb0, 32);
-        const __m256i loa0 = _mm256_and_si256(pa0, mask32);
-        const __m256i lob0 = _mm256_and_si256(pb0, mask32);
-        const __m256i hia1 = _mm256_srli_epi64(pa1, 32);
-        const __m256i hib1 = _mm256_srli_epi64(pb1, 32);
-        const __m256i loa1 = _mm256_and_si256(pa1, mask32);
-        const __m256i lob1 = _mm256_and_si256(pb1, mask32);
-        sa.c0 = _mm256_xor_si256(_mm256_xor_si256(hia1, sa.c1), k0);
-        sb.c0 = _mm256_xor_si256(_mm256_xor_si256(hib1, sb.c1), k0);
-        sa.c1 = loa1;
-        sb.c1 = lob1;
-        sa.c2 = _mm256_xor_si256(_mm256_xor_si256(hia0, sa.c3), k1);
-        sb.c2 = _mm256_xor_si256(_mm256_xor_si256(hib0, sb.c3), k1);
-        sa.c3 = loa0;
-        sb.c3 = lob0;
-    }
-    a = philoxDrawsX4Avx2(sa);
-    b = philoxDrawsX4Avx2(sb);
-}
-
-/**
- * Three independent four-block groups (12 blocks): the sweet spot for
- * short latency-sensitive reductions — 12 state vectors plus two key
- * vectors and the two multipliers fill the sixteen ymm registers
- * exactly, so the 10-round loop runs spill-free with three chains
- * hiding each other's multiply latency. Bit-identical to three X4
- * calls.
- */
-__attribute__((target("avx2"))) inline void
-philoxBlocksX12Avx2(Key key, uint64_t trial, uint64_t firstBlock,
-                    DrawsX4 &a, DrawsX4 &b, DrawsX4 &c)
-{
-    const __m256i mult0 = _mm256_set1_epi64x(static_cast<long long>(kMult0));
-    const __m256i mult1 = _mm256_set1_epi64x(static_cast<long long>(kMult1));
-    const __m256i weyl0 = _mm256_set1_epi64x(static_cast<long long>(kWeyl0));
-    const __m256i weyl1 = _mm256_set1_epi64x(static_cast<long long>(kWeyl1));
-    const __m256i mask32 =
-        _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFFULL));
-    StateX4 sa = philoxCountersX4Avx2(trial, firstBlock);
-    StateX4 sb = philoxCountersX4Avx2(trial, firstBlock + 4);
-    StateX4 sc = philoxCountersX4Avx2(trial, firstBlock + 8);
-    __m256i k0 = _mm256_set1_epi64x(static_cast<long long>(key[0]));
-    __m256i k1 = _mm256_set1_epi64x(static_cast<long long>(key[1]));
-
-    for (int round = 0; round < kRounds; ++round) {
-        if (round != 0) {
-            k0 = _mm256_add_epi32(k0, weyl0);
-            k1 = _mm256_add_epi32(k1, weyl1);
+        __m256i p0[G];
+        __m256i p1[G];
+#pragma GCC unroll 4
+        for (size_t g = 0; g < G; ++g) {
+            p0[g] = _mm256_mul_epu32(s[g].c0, mult0);
+            p1[g] = _mm256_mul_epu32(s[g].c2, mult1);
         }
-        const __m256i pa0 = _mm256_mul_epu32(sa.c0, mult0);
-        const __m256i pb0 = _mm256_mul_epu32(sb.c0, mult0);
-        const __m256i pc0 = _mm256_mul_epu32(sc.c0, mult0);
-        const __m256i pa1 = _mm256_mul_epu32(sa.c2, mult1);
-        const __m256i pb1 = _mm256_mul_epu32(sb.c2, mult1);
-        const __m256i pc1 = _mm256_mul_epu32(sc.c2, mult1);
-        sa.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pa1, 32), sa.c1), k0);
-        sb.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pb1, 32), sb.c1), k0);
-        sc.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pc1, 32), sc.c1), k0);
-        sa.c1 = _mm256_and_si256(pa1, mask32);
-        sb.c1 = _mm256_and_si256(pb1, mask32);
-        sc.c1 = _mm256_and_si256(pc1, mask32);
-        sa.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pa0, 32), sa.c3), k1);
-        sb.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pb0, 32), sb.c3), k1);
-        sc.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pc0, 32), sc.c3), k1);
-        sa.c3 = _mm256_and_si256(pa0, mask32);
-        sb.c3 = _mm256_and_si256(pb0, mask32);
-        sc.c3 = _mm256_and_si256(pc0, mask32);
-    }
-    a = philoxDrawsX4Avx2(sa);
-    b = philoxDrawsX4Avx2(sb);
-    c = philoxDrawsX4Avx2(sc);
-}
-
-/**
- * Four independent four-block groups (16 blocks) with interleaved
- * round bodies. Two chains (the X8 body) still leave the multipliers
- * idle for most of each round's latency; four chains get within ~2x of
- * multiply throughput on the 10-round chain while still (just) fitting
- * the sixteen ymm registers. Bit-identical to four X4 calls.
- */
-__attribute__((target("avx2"))) inline void
-philoxBlocksX16Avx2(Key key, uint64_t trial, uint64_t firstBlock,
-                    DrawsX4 &a, DrawsX4 &b, DrawsX4 &c, DrawsX4 &d)
-{
-    const __m256i mult0 = _mm256_set1_epi64x(static_cast<long long>(kMult0));
-    const __m256i mult1 = _mm256_set1_epi64x(static_cast<long long>(kMult1));
-    const __m256i weyl0 = _mm256_set1_epi64x(static_cast<long long>(kWeyl0));
-    const __m256i weyl1 = _mm256_set1_epi64x(static_cast<long long>(kWeyl1));
-    const __m256i mask32 =
-        _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFFULL));
-    StateX4 sa = philoxCountersX4Avx2(trial, firstBlock);
-    StateX4 sb = philoxCountersX4Avx2(trial, firstBlock + 4);
-    StateX4 sc = philoxCountersX4Avx2(trial, firstBlock + 8);
-    StateX4 sd = philoxCountersX4Avx2(trial, firstBlock + 12);
-    __m256i k0 = _mm256_set1_epi64x(static_cast<long long>(key[0]));
-    __m256i k1 = _mm256_set1_epi64x(static_cast<long long>(key[1]));
-
-    for (int round = 0; round < kRounds; ++round) {
-        if (round != 0) {
-            k0 = _mm256_add_epi32(k0, weyl0);
-            k1 = _mm256_add_epi32(k1, weyl1);
+#pragma GCC unroll 4
+        for (size_t g = 0; g < G; ++g) {
+            s[g].c0 = _mm256_xor_si256(
+                _mm256_xor_si256(_mm256_srli_epi64(p1[g], 32), s[g].c1), k0);
+            s[g].c1 = _mm256_and_si256(p1[g], mask32);
+            s[g].c2 = _mm256_xor_si256(
+                _mm256_xor_si256(_mm256_srli_epi64(p0[g], 32), s[g].c3), k1);
+            s[g].c3 = _mm256_and_si256(p0[g], mask32);
         }
-        const __m256i pa0 = _mm256_mul_epu32(sa.c0, mult0);
-        const __m256i pb0 = _mm256_mul_epu32(sb.c0, mult0);
-        const __m256i pc0 = _mm256_mul_epu32(sc.c0, mult0);
-        const __m256i pd0 = _mm256_mul_epu32(sd.c0, mult0);
-        const __m256i pa1 = _mm256_mul_epu32(sa.c2, mult1);
-        const __m256i pb1 = _mm256_mul_epu32(sb.c2, mult1);
-        const __m256i pc1 = _mm256_mul_epu32(sc.c2, mult1);
-        const __m256i pd1 = _mm256_mul_epu32(sd.c2, mult1);
-        sa.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pa1, 32), sa.c1), k0);
-        sb.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pb1, 32), sb.c1), k0);
-        sc.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pc1, 32), sc.c1), k0);
-        sd.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pd1, 32), sd.c1), k0);
-        sa.c1 = _mm256_and_si256(pa1, mask32);
-        sb.c1 = _mm256_and_si256(pb1, mask32);
-        sc.c1 = _mm256_and_si256(pc1, mask32);
-        sd.c1 = _mm256_and_si256(pd1, mask32);
-        sa.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pa0, 32), sa.c3), k1);
-        sb.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pb0, 32), sb.c3), k1);
-        sc.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pc0, 32), sc.c3), k1);
-        sd.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pd0, 32), sd.c3), k1);
-        sa.c3 = _mm256_and_si256(pa0, mask32);
-        sb.c3 = _mm256_and_si256(pb0, mask32);
-        sc.c3 = _mm256_and_si256(pc0, mask32);
-        sd.c3 = _mm256_and_si256(pd0, mask32);
     }
-    a = philoxDrawsX4Avx2(sa);
-    b = philoxDrawsX4Avx2(sb);
-    c = philoxDrawsX4Avx2(sc);
-    d = philoxDrawsX4Avx2(sd);
-}
-
-__attribute__((target("avx2"))) void
-fillRaw64Avx2(Key key, uint64_t trial, uint64_t firstBlock, uint64_t *out,
-              size_t blockCount)
-{
-    size_t i = 0;
-    for (; i + 16 <= blockCount; i += 16) {
-        DrawsX4 a, b, c, d;
-        philoxBlocksX16Avx2(key, trial, firstBlock + i, a, b, c, d);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i),
-                            a.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 4),
-                            a.second);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 8),
-                            b.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 12),
-                            b.second);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 16),
-                            c.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 20),
-                            c.second);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 24),
-                            d.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 28),
-                            d.second);
-    }
-    if (i + 8 <= blockCount) {
-        DrawsX4 a, b;
-        philoxBlocksX8Avx2(key, trial, firstBlock + i, a, b);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i),
-                            a.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 4),
-                            a.second);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 8),
-                            b.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 12),
-                            b.second);
-        i += 8;
-    }
-    if (i + 4 <= blockCount) {
-        const DrawsX4 draws = philoxBlocksX4Avx2(key, trial, firstBlock + i);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i),
-                            draws.first);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 2 * i + 4),
-                            draws.second);
-        i += 4;
-    }
-    if (i < blockCount)
-        fillRaw64Scalar(key, trial, firstBlock + i, out + 2 * i,
-                        blockCount - i);
+#pragma GCC unroll 4
+    for (size_t g = 0; g < G; ++g)
+        out[g] = philoxDrawsX4Avx2(s[g]);
 }
 
 /**
@@ -405,122 +202,99 @@ drawsToUniformAvx2(__m256i w)
     return _mm256_mul_pd(value, _mm256_set1_pd(0x1.0p-53));
 }
 
-/** Fused generate-and-reduce: min (Max = false) or max (Max = true)
- *  of all 2 * blockCount uniforms of the given block range. */
-template <bool Max>
-__attribute__((target("avx2"))) double
-extremeUniformAvx2(Key key, uint64_t trial, uint64_t firstBlock,
-                   size_t blockCount)
+/**
+ * G interleaved groups starting at block firstBlock + at: Fill stores
+ * their uniforms at out[2 * at ...], Min and Max fold them into @p acc.
+ * The extrema of exact doubles do not depend on the fold order, so
+ * the lanes reach the value the scalar pass does.
+ */
+template <Use U, size_t G>
+__attribute__((target("avx2"))) inline void
+groupUniformsAvx2(Key key, uint64_t trial, uint64_t firstBlock, double *out,
+                  size_t at, __m256d &acc)
 {
-    // Uniforms lie in (0, 1]: 1.0 is an identity for min, and any
-    // generated draw replaces the 0.0 max seed.
-    __m256d acc = _mm256_set1_pd(Max ? 0.0 : 1.0);
-    size_t i = 0;
-    for (; i + 12 <= blockCount; i += 12) {
-        DrawsX4 a, b, c;
-        philoxBlocksX12Avx2(key, trial, firstBlock + i, a, b, c);
-        const __m256d u0 = drawsToUniformAvx2(a.first);
-        const __m256d u1 = drawsToUniformAvx2(a.second);
-        const __m256d u2 = drawsToUniformAvx2(b.first);
-        const __m256d u3 = drawsToUniformAvx2(b.second);
-        const __m256d u4 = drawsToUniformAvx2(c.first);
-        const __m256d u5 = drawsToUniformAvx2(c.second);
-        if (Max) {
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u0, u1));
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u2, u3));
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u4, u5));
-        } else {
+    DrawsX4 draws[G];
+    philoxGroupsAvx2<G>(key, trial, firstBlock + at, draws);
+#pragma GCC unroll 4
+    for (size_t g = 0; g < G; ++g) {
+        const __m256d u0 = drawsToUniformAvx2(draws[g].first);
+        const __m256d u1 = drawsToUniformAvx2(draws[g].second);
+        if constexpr (U == Use::Fill) {
+            _mm256_storeu_pd(out + 2 * at + 8 * g, u0);
+            _mm256_storeu_pd(out + 2 * at + 8 * g + 4, u1);
+        } else if constexpr (U == Use::Min) {
             acc = _mm256_min_pd(acc, _mm256_min_pd(u0, u1));
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u2, u3));
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u4, u5));
-        }
-    }
-    if (i + 8 <= blockCount) {
-        DrawsX4 a, b;
-        philoxBlocksX8Avx2(key, trial, firstBlock + i, a, b);
-        const __m256d u0 = drawsToUniformAvx2(a.first);
-        const __m256d u1 = drawsToUniformAvx2(a.second);
-        const __m256d u2 = drawsToUniformAvx2(b.first);
-        const __m256d u3 = drawsToUniformAvx2(b.second);
-        if (Max) {
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u0, u1));
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u2, u3));
         } else {
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u0, u1));
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u2, u3));
-        }
-        i += 8;
-    }
-    if (i + 4 <= blockCount) {
-        const DrawsX4 draws = philoxBlocksX4Avx2(key, trial, firstBlock + i);
-        const __m256d u0 = drawsToUniformAvx2(draws.first);
-        const __m256d u1 = drawsToUniformAvx2(draws.second);
-        acc = Max ? _mm256_max_pd(acc, _mm256_max_pd(u0, u1))
-                  : _mm256_min_pd(acc, _mm256_min_pd(u0, u1));
-        i += 4;
-    }
-    const __m128d folded =
-        Max ? _mm_max_pd(_mm256_castpd256_pd128(acc),
-                         _mm256_extractf128_pd(acc, 1))
-            : _mm_min_pd(_mm256_castpd256_pd128(acc),
-                         _mm256_extractf128_pd(acc, 1));
-    double lanes[2];
-    _mm_storeu_pd(lanes, folded);
-    double result = Max ? (lanes[0] > lanes[1] ? lanes[0] : lanes[1])
-                        : (lanes[0] < lanes[1] ? lanes[0] : lanes[1]);
-    for (; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        for (const uint64_t w : draws) {
-            const double u = toUniformOpenLow(w);
-            if (Max ? (u > result) : (u < result))
-                result = u;
+            acc = _mm256_max_pd(acc, _mm256_max_pd(u0, u1));
         }
     }
-    return result;
 }
 
-__attribute__((target("avx2"))) void
-fillUniformAvx2(Key key, uint64_t trial, uint64_t firstBlock, double *out,
-                size_t blockCount)
+/** One interleaved pass over @p groups < G + 1 groups (G, G-1, ... 1). */
+template <Use U, size_t G>
+__attribute__((target("avx2"))) inline void
+tailGroupsAvx2(size_t groups, Key key, uint64_t trial, uint64_t firstBlock,
+               double *out, size_t at, __m256d &acc)
 {
+    if constexpr (G > 0) {
+        if (groups == G)
+            groupUniformsAvx2<U, G>(key, trial, firstBlock, out, at, acc);
+        else
+            tailGroupsAvx2<U, G - 1>(groups, key, trial, firstBlock, out, at,
+                                     acc);
+    }
+}
+
+/**
+ * The AVX2 pass shared by fill, min and max: G interleaved groups at
+ * a time, then one interleaved pass over the remaining whole groups
+ * (G - 1 ... 1). Returns how many blocks it consumed; the last
+ * blockCount % 4 are left to the scalar pass, which the caller runs
+ * (calling it from here would run SSE code with the upper ymm halves
+ * still dirty).
+ */
+template <Use U, size_t G>
+__attribute__((target("avx2"))) size_t
+uniformsAvx2(Key key, uint64_t trial, uint64_t firstBlock, double *out,
+             size_t blockCount, double &extreme)
+{
+    __m256d acc = _mm256_set1_pd(extreme);
     size_t i = 0;
-    for (; i + 16 <= blockCount; i += 16) {
-        DrawsX4 a, b, c, d;
-        philoxBlocksX16Avx2(key, trial, firstBlock + i, a, b, c, d);
-        _mm256_storeu_pd(out + 2 * i, drawsToUniformAvx2(a.first));
-        _mm256_storeu_pd(out + 2 * i + 4, drawsToUniformAvx2(a.second));
-        _mm256_storeu_pd(out + 2 * i + 8, drawsToUniformAvx2(b.first));
-        _mm256_storeu_pd(out + 2 * i + 12, drawsToUniformAvx2(b.second));
-        _mm256_storeu_pd(out + 2 * i + 16, drawsToUniformAvx2(c.first));
-        _mm256_storeu_pd(out + 2 * i + 20, drawsToUniformAvx2(c.second));
-        _mm256_storeu_pd(out + 2 * i + 24, drawsToUniformAvx2(d.first));
-        _mm256_storeu_pd(out + 2 * i + 28, drawsToUniformAvx2(d.second));
+    for (; i + 4 * G <= blockCount; i += 4 * G)
+        groupUniformsAvx2<U, G>(key, trial, firstBlock, out, i, acc);
+    const size_t groups = (blockCount - i) / 4;
+    tailGroupsAvx2<U, G - 1>(groups, key, trial, firstBlock, out, i, acc);
+    i += 4 * groups;
+    if constexpr (U != Use::Fill) {
+        double lanes[4];
+        _mm256_storeu_pd(lanes, acc);
+        for (const double lane : lanes)
+            foldExtreme<U>(extreme, lane);
     }
-    if (i + 8 <= blockCount) {
-        DrawsX4 a, b;
-        philoxBlocksX8Avx2(key, trial, firstBlock + i, a, b);
-        _mm256_storeu_pd(out + 2 * i, drawsToUniformAvx2(a.first));
-        _mm256_storeu_pd(out + 2 * i + 4, drawsToUniformAvx2(a.second));
-        _mm256_storeu_pd(out + 2 * i + 8, drawsToUniformAvx2(b.first));
-        _mm256_storeu_pd(out + 2 * i + 12, drawsToUniformAvx2(b.second));
-        i += 8;
-    }
-    if (i + 4 <= blockCount) {
-        const DrawsX4 draws = philoxBlocksX4Avx2(key, trial, firstBlock + i);
-        _mm256_storeu_pd(out + 2 * i, drawsToUniformAvx2(draws.first));
-        _mm256_storeu_pd(out + 2 * i + 4, drawsToUniformAvx2(draws.second));
-        i += 4;
-    }
-    for (; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        out[2 * i] = toUniformOpenLow(draws[0]);
-        out[2 * i + 1] = toUniformOpenLow(draws[1]);
-    }
+    return i;
 }
 
 #endif // LEMONS_PHILOX_AVX2
+
+/**
+ * Dispatch one generation pass. Fill runs four interleaved groups per
+ * step and min and max three, the widths the generator was tuned at;
+ * any width gives the same values.
+ */
+template <Use U>
+void
+uniforms(Key key, uint64_t trial, uint64_t firstBlock, double *out,
+         size_t blockCount, double &extreme)
+{
+    size_t done = 0;
+#if defined(LEMONS_PHILOX_AVX2)
+    if (simd::activeLevel() == simd::Level::Avx2)
+        done = uniformsAvx2<U, U == Use::Fill ? 4 : 3>(
+            key, trial, firstBlock, out, blockCount, extreme);
+#endif
+    uniformsScalar<U>(key, trial, firstBlock + done, out, done,
+                      blockCount - done, extreme);
+}
 
 } // namespace
 
@@ -589,46 +363,29 @@ void
 fillRaw64(Key key, uint64_t trial, uint64_t firstBlock, uint64_t *out,
           size_t blockCount)
 {
-#if defined(LEMONS_PHILOX_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2) {
-        fillRaw64Avx2(key, trial, firstBlock, out, blockCount);
-        return;
+    for (size_t i = 0; i < blockCount; ++i) {
+        const std::array<uint64_t, 2> draws =
+            blockDraws(block(makeCounter(trial, firstBlock + i), key));
+        out[2 * i] = draws[0];
+        out[2 * i + 1] = draws[1];
     }
-#endif
-    fillRaw64Scalar(key, trial, firstBlock, out, blockCount);
 }
 
 void
 fillUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock, double *out,
                    size_t blockCount)
 {
-#if defined(LEMONS_PHILOX_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2) {
-        fillUniformAvx2(key, trial, firstBlock, out, blockCount);
-        return;
-    }
-#endif
-    fillUniformScalar(key, trial, firstBlock, out, blockCount);
+    double unused = 0.0;
+    uniforms<Use::Fill>(key, trial, firstBlock, out, blockCount, unused);
 }
 
 double
 minUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
                   size_t blockCount)
 {
-#if defined(LEMONS_PHILOX_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2)
-        return extremeUniformAvx2<false>(key, trial, firstBlock, blockCount);
-#endif
+    // Uniforms lie in (0, 1]: 1.0 is the identity of their minimum.
     double result = 1.0;
-    for (size_t i = 0; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        for (const uint64_t w : draws) {
-            const double u = toUniformOpenLow(w);
-            if (u < result)
-                result = u;
-        }
-    }
+    uniforms<Use::Min>(key, trial, firstBlock, nullptr, blockCount, result);
     return result;
 }
 
@@ -636,20 +393,9 @@ double
 maxUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
                   size_t blockCount)
 {
-#if defined(LEMONS_PHILOX_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2)
-        return extremeUniformAvx2<true>(key, trial, firstBlock, blockCount);
-#endif
+    // Any generated uniform replaces the 0.0 seed of the maximum.
     double result = 0.0;
-    for (size_t i = 0; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        for (const uint64_t w : draws) {
-            const double u = toUniformOpenLow(w);
-            if (u > result)
-                result = u;
-        }
-    }
+    uniforms<Use::Max>(key, trial, firstBlock, nullptr, blockCount, result);
     return result;
 }
 

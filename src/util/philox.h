@@ -19,6 +19,12 @@
  * and each block yields two 64-bit draws. Rng::trialStream wraps this
  * layout behind the ordinary Rng interface; the raw entry points here
  * exist for the known-answer tests and the batched kernels.
+ *
+ * fillUniformOpenLow and min/maxUniformOpenLow run one AVX2 generator
+ * when simd::activeLevel() allows: several four-block groups with
+ * their ten rounds interleaved, so one group's multiply latency hides
+ * behind the others'. fillRaw64 is scalar; its one caller outside the
+ * tests asks for a single block.
  */
 
 #ifndef LEMONS_UTIL_PHILOX_H_
@@ -74,9 +80,7 @@ std::array<uint64_t, 2> blockDraws(const Counter &output);
 /**
  * Write the 64-bit draws of @p blockCount consecutive blocks
  * [firstBlock, firstBlock + blockCount) of stream (key, trial) to
- * @p out[0 .. 2*blockCount). Dispatches to the AVX2 four-block batch
- * when simd::activeLevel() allows; the output is bit-identical either
- * way (Philox is pure integer arithmetic).
+ * @p out[0 .. 2*blockCount), one block() call per block.
  */
 void fillRaw64(Key key, uint64_t trial, uint64_t firstBlock, uint64_t *out,
                size_t blockCount);

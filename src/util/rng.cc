@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/philox.h"
@@ -148,63 +149,48 @@ double
 Rng::minUniformOpenLow(size_t count)
 {
     requireArg(count > 0, "Rng::minUniformOpenLow: count must be > 0");
-    if (mode != Mode::Philox) {
-        double result = 1.0;
-        for (size_t i = 0; i < count; ++i)
-            result = std::min(result, nextDoubleOpenLow());
-        return result;
-    }
-    double result = 1.0;
-    size_t remaining = count;
-    if (hasBufferedDraw) {
-        hasBufferedDraw = false;
-        result = toDoubleOpenLow(state[kBufferedWord]);
-        --remaining;
-    }
-    const philox::Key key = philox::keyWords(state[kKeyWord]);
-    const size_t wholeBlocks = remaining / 2;
-    if (wholeBlocks > 0) {
-        result = std::min(
-            result, philox::minUniformOpenLow(key, state[kTrialWord],
-                                              state[kBlockWord],
-                                              wholeBlocks));
-        state[kBlockWord] += wholeBlocks;
-        remaining -= 2 * wholeBlocks;
-    }
-    if (remaining > 0)
-        result = std::min(result, nextDoubleOpenLow());
-    return result;
+    return extremeUniformOpenLow(count, false);
 }
 
 double
 Rng::maxUniformOpenLow(size_t count)
 {
     requireArg(count > 0, "Rng::maxUniformOpenLow: count must be > 0");
+    return extremeUniformOpenLow(count, true);
+}
+
+double
+Rng::extremeUniformOpenLow(size_t count, bool max)
+{
+    // Uniforms lie in (0, 1]: 1.0 is the identity of their minimum, and
+    // any uniform replaces the 0.0 seed of their maximum.
+    double result = max ? 0.0 : 1.0;
+    const auto fold = [&result, max](double u) {
+        result = max ? std::max(result, u) : std::min(result, u);
+    };
     if (mode != Mode::Philox) {
-        double result = 0.0;
         for (size_t i = 0; i < count; ++i)
-            result = std::max(result, nextDoubleOpenLow());
+            fold(nextDoubleOpenLow());
         return result;
     }
-    double result = 0.0;
     size_t remaining = count;
     if (hasBufferedDraw) {
         hasBufferedDraw = false;
-        result = toDoubleOpenLow(state[kBufferedWord]);
+        fold(toDoubleOpenLow(state[kBufferedWord]));
         --remaining;
     }
     const philox::Key key = philox::keyWords(state[kKeyWord]);
     const size_t wholeBlocks = remaining / 2;
     if (wholeBlocks > 0) {
-        result = std::max(
-            result, philox::maxUniformOpenLow(key, state[kTrialWord],
-                                              state[kBlockWord],
-                                              wholeBlocks));
+        fold(max ? philox::maxUniformOpenLow(key, state[kTrialWord],
+                                             state[kBlockWord], wholeBlocks)
+                 : philox::minUniformOpenLow(key, state[kTrialWord],
+                                             state[kBlockWord], wholeBlocks));
         state[kBlockWord] += wholeBlocks;
         remaining -= 2 * wholeBlocks;
     }
     if (remaining > 0)
-        result = std::max(result, nextDoubleOpenLow());
+        fold(nextDoubleOpenLow());
     return result;
 }
 

@@ -126,6 +126,9 @@ class Rng
     /** Counter-mode constructor: see trialStream(). */
     Rng(uint64_t key, uint64_t trial, Mode tag);
 
+    /** Shared body of minUniformOpenLow / maxUniformOpenLow. */
+    double extremeUniformOpenLow(size_t count, bool max);
+
     /**
      * Mode-dependent state layout. Xoshiro: the four xoshiro256**
      * state words. Philox: [key, trial, next block index, buffered

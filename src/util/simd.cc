@@ -1,7 +1,6 @@
 #include "util/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace lemons::simd {
 
@@ -20,13 +19,6 @@ detect()
 #else
     return Level::Scalar;
 #endif
-}
-
-bool
-envDisabled()
-{
-    const char *flag = std::getenv("LEMONS_NO_SIMD");
-    return flag != nullptr && flag[0] != '\0';
 }
 
 } // namespace
@@ -58,9 +50,6 @@ activeLevel()
         const Level requested = static_cast<Level>(forced);
         return requested < detectedLevel() ? requested : detectedLevel();
     }
-    static const bool disabled = envDisabled();
-    if (disabled)
-        return Level::Scalar;
     return detectedLevel();
 }
 

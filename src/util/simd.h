@@ -2,20 +2,21 @@
  * @file
  * Runtime SIMD dispatch for the trial kernels.
  *
- * The counter-based RNG and the batched Weibull transforms ship both a
- * portable scalar implementation and an AVX2 one compiled with a
- * per-function target attribute (no global -mavx2 required). Which one
- * runs is decided once at startup from, in priority order:
+ * Two kernels ship both a portable scalar implementation and an AVX2
+ * one compiled with a per-function target attribute (no global -mavx2
+ * required): the counter-based Philox generator (util/philox.cc) and
+ * the array min/max of the bank selections (engine/batch.cc). Which
+ * one runs is decided by:
  *
- *   1. the LEMONS_NO_SIMD compile-time macro (vector code compiled out),
- *   2. the LEMONS_NO_SIMD environment variable (any non-empty value),
- *   3. CPUID feature detection.
+ *   1. the LEMONS_NO_SIMD compile-time macro (vector code compiled out;
+ *      the CI scalar leg builds this way),
+ *   2. CPUID feature detection, once per process,
+ *   3. setLevelForTesting(), which can only lower the detected level.
  *
- * Every vector kernel in the library is bit-identical to its scalar
- * fallback by construction (integer Philox blocks, exact IEEE uniform
- * conversion, order-insensitive selections, and mirrored operation
- * sequences in lemons::fastmath), so the dispatch level never changes
- * simulation results — only throughput. Tests enforce this via
+ * Every vector kernel is bit-identical to its scalar fallback by
+ * construction (integer Philox blocks, exact IEEE uniform conversion
+ * and order-insensitive selections), so the dispatch level never
+ * changes simulation results — only throughput. Tests enforce this via
  * setLevelForTesting().
  */
 
@@ -41,8 +42,8 @@ const char *levelName(Level level);
 Level detectedLevel();
 
 /**
- * Tier the kernels actually dispatch on: detectedLevel() clamped by the
- * LEMONS_NO_SIMD environment variable and any test override.
+ * Tier the kernels actually dispatch on: the test override when one is
+ * set (clamped to detectedLevel()), otherwise detectedLevel().
  */
 Level activeLevel();
 
@@ -55,7 +56,7 @@ Level activeLevel();
  */
 void setLevelForTesting(Level level);
 
-/** Drop the test override and return to environment/CPUID dispatch. */
+/** Drop the test override and return to CPUID dispatch. */
 void clearLevelForTesting();
 
 } // namespace lemons::simd

@@ -104,30 +104,11 @@ Weibull::sampleFromUniform(double u) const
 {
     // Inverse-CDF sampling: T = alpha * (-ln U)^(1/beta), U in (0, 1].
     // The transform runs on lemons::fastmath so the sampled stream is
-    // pinned to a fixed operation sequence (libm-version independent)
-    // and the engine's batched kernels can evaluate the identical
-    // sequence four lanes at a time; the closed-form analytics above
-    // stay on libm.
+    // pinned to a fixed operation sequence (libm-version independent);
+    // the closed-form analytics above stay on libm.
     requireArg(u > 0.0 && u <= 1.0,
                "Weibull::sampleFromUniform: u outside (0, 1]");
     return scale * fastmath::detPow(-fastmath::detLog(u), invShape);
-}
-
-void
-Weibull::sampleFromUniformBatch(const double *u, size_t count,
-                                double *out) const
-{
-    // Stage the scalar-identical sequence: b = -detLog(u), then the
-    // four-lane pow batch (bit-identical to detPow per element), then
-    // the same final scale multiply sampleFromUniform performs.
-    for (size_t i = 0; i < count; ++i) {
-        requireArg(u[i] > 0.0 && u[i] <= 1.0,
-                   "Weibull::sampleFromUniformBatch: u outside (0, 1]");
-        out[i] = -fastmath::detLog(u[i]);
-    }
-    fastmath::detPowBatch(out, count, invShape, out);
-    for (size_t i = 0; i < count; ++i)
-        out[i] = scale * out[i];
 }
 
 std::vector<double>

@@ -76,20 +76,10 @@ class Weibull
      * Lets fault injection share one uniform across candidate
      * distributions (common-random-numbers coupling). Evaluated on the
      * fixed-operation-sequence lemons::fastmath transforms, so sampled
-     * streams are bit-stable across libm versions and identical between
-     * the scalar and AVX2 kernel paths.
+     * streams are bit-stable across libm versions. The engine's bank
+     * kernels call it once per selected order statistic.
      */
     double sampleFromUniform(double u) const;
-
-    /**
-     * Batched inverse CDF: out[i] = sampleFromUniform(u[i]) for i in
-     * [0, count), bit-identical to the scalar calls at any SIMD
-     * dispatch level (the pow batch mirrors the scalar operation
-     * sequence lane for lane). @p out may alias @p u. This is the
-     * vectorized transform stage of the engine's trial kernels.
-     */
-    void sampleFromUniformBatch(const double *u, size_t count,
-                                double *out) const;
 
     /** Draw @p count iid samples. */
     std::vector<double> sampleMany(Rng &rng, size_t count) const;

@@ -17,6 +17,7 @@
 #include "api/service.h"
 #include "api/types.h"
 #include "lint/diagnostics.h"
+#include "obs/metrics.h"
 
 namespace lemons::api {
 namespace {
@@ -343,6 +344,53 @@ TEST(ApiService, McRunSeedAndThreadInvariance)
     EXPECT_EQ(one, service.mcRun(mcBody(7, 1)).body);
     EXPECT_EQ(one, service.mcRun(mcBody(7, 4)).body);
     EXPECT_NE(one, service.mcRun(mcBody(8, 1)).body);
+}
+
+/** An mc/run body over one parallel [structure] of width @p n. */
+std::string
+mcWideBody(uint64_t n, uint64_t k, const std::string &trials)
+{
+    return std::string("{\"spec\": \"") +
+           "[structure]\\nkind = parallel\\nn = " + std::to_string(n) +
+           "\\nk = " + std::to_string(k) +
+           "\\nalpha = 10\\nbeta = 12\\n\"" + trials + "}";
+}
+
+TEST(ApiService, McRunRefusesOversizedBankBeforeRunning)
+{
+    // At the default 4,096 trials this bank would hold a worker for
+    // about 20 minutes, in one wave that never polls the deadline.
+    const Service service;
+    const obs::Counter &trialsRun =
+        obs::Registry::global().counter("sim.mc.trials");
+    const uint64_t before = trialsRun.get();
+    const ServiceResult result =
+        service.mcRun(mcWideBody(100000000, 1, ""));
+    EXPECT_EQ(result.status, 400) << result.body;
+    EXPECT_FALSE(result.ok);
+    EXPECT_TRUE(hasCode(parseEnvelope(result.body), "S011"));
+    EXPECT_EQ(trialsRun.get(), before);
+}
+
+TEST(ApiService, McRunBoundsTrialsTimesWidth)
+{
+    // 2^22 devices x 1,025 trials is one trial over the 2^32 device
+    // draws a request may ask for; 1,024 trials would be exactly at it.
+    const Service service;
+    const ServiceResult over =
+        service.mcRun(mcWideBody(kMcMaxWidth, 1, ", \"trials\": 1025"));
+    EXPECT_EQ(over.status, 400) << over.body;
+    EXPECT_TRUE(hasCode(parseEnvelope(over.body), "S011"));
+    // One device wider than the limit is refused at a single trial.
+    const ServiceResult wide = service.mcRun(
+        mcWideBody(kMcMaxWidth + 1, 1, ", \"trials\": 1"));
+    EXPECT_EQ(wide.status, 400) << wide.body;
+    EXPECT_TRUE(hasCode(parseEnvelope(wide.body), "S011"));
+    // The end-to-end benchmark's shape still runs.
+    const ServiceResult paper =
+        service.mcRun(mcWideBody(1000, 100, ", \"trials\": 4096"));
+    EXPECT_EQ(paper.status, 200) << paper.body;
+    EXPECT_TRUE(paper.ok);
 }
 
 } // namespace

@@ -288,7 +288,7 @@ TEST(Philox, TrialStreamMatchesRawBlocks)
 TEST(Philox, FillRaw64MatchesPerBlockCalls)
 {
     const philox::Key key = philox::keyWords(philox::deriveKey(7));
-    constexpr size_t kBlocks = 37; // exercises X8, X4 and scalar tails
+    constexpr size_t kBlocks = 37; // a length that is not a multiple of 4
     uint64_t bulk[2 * kBlocks];
     philox::fillRaw64(key, 5, 11, bulk, kBlocks);
     for (size_t b = 0; b < kBlocks; ++b) {
@@ -412,32 +412,105 @@ TEST(Philox, SimdAndScalarPathsBitIdentical)
     if (simd::detectedLevel() == simd::Level::Scalar)
         GTEST_SKIP() << "no SIMD tier available on this build/machine";
 
-    constexpr size_t kCount = 257; // X8 blocks + X4 + scalar tail + odd
+    constexpr size_t kCount = 257; // whole steps, a group tail and odd
     std::vector<double> vec(kCount), sca(kCount);
-    uint64_t vecRaw[64], scaRaw[64];
     const philox::Key key = philox::keyWords(philox::deriveKey(3));
 
     simd::setLevelForTesting(simd::Level::Avx2);
     Rng rv = Rng::trialStream(3, 12);
     rv.fillUniformOpenLow(vec.data(), kCount);
-    philox::fillRaw64(key, 12, 0, vecRaw, 32);
     const double vMin = philox::minUniformOpenLow(key, 12, 0, 33);
     const double vMax = philox::maxUniformOpenLow(key, 12, 0, 33);
 
     simd::setLevelForTesting(simd::Level::Scalar);
     Rng rs = Rng::trialStream(3, 12);
     rs.fillUniformOpenLow(sca.data(), kCount);
-    philox::fillRaw64(key, 12, 0, scaRaw, 32);
     const double sMin = philox::minUniformOpenLow(key, 12, 0, 33);
     const double sMax = philox::maxUniformOpenLow(key, 12, 0, 33);
     simd::clearLevelForTesting();
 
     for (size_t i = 0; i < kCount; ++i)
         ASSERT_EQ(vec[i], sca[i]) << "uniform " << i;
-    for (size_t i = 0; i < 64; ++i)
-        ASSERT_EQ(vecRaw[i], scaRaw[i]) << "raw draw " << i;
     EXPECT_EQ(vMin, sMin);
     EXPECT_EQ(vMax, sMax);
+}
+
+TEST(Philox, EveryGeneratorTailMatchesPerBlockCalls)
+{
+    // Block counts 0 .. 40 reach every shape of the AVX2 pass: whole
+    // steps of four (fill) or three (min/max) interleaved groups, one
+    // interleaved tail of one to three groups, and zero to three scalar
+    // blocks. Each count runs at both dispatch levels, through the raw
+    // entry points from an even and an odd first block, and through Rng
+    // from an even and an odd stream position (an odd one leaves a
+    // buffered second draw pending).
+    constexpr uint64_t kSeed = 31;
+    constexpr uint64_t kTrial = 6;
+    constexpr size_t kMaxBlocks = 40;
+    const philox::Key key = philox::keyWords(philox::deriveKey(kSeed));
+    // Uniform i of the stream, from one block() call per block; two
+    // spare blocks cover the odd offsets and the post-state probe.
+    std::vector<double> expect;
+    for (uint64_t b = 0; b < kMaxBlocks + 2; ++b)
+        for (const uint64_t w : philox::blockDraws(
+                 philox::block(philox::makeCounter(kTrial, b), key)))
+            expect.push_back(static_cast<double>((w >> 11) + 1) * 0x1.0p-53);
+    const auto minOf = [&](size_t from, size_t count) {
+        return *std::min_element(expect.data() + from,
+                                 expect.data() + from + count);
+    };
+    const auto maxOf = [&](size_t from, size_t count) {
+        return *std::max_element(expect.data() + from,
+                                 expect.data() + from + count);
+    };
+
+    for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+        simd::setLevelForTesting(level);
+        for (size_t odd = 0; odd < 2; ++odd) {
+            for (size_t blocks = 0; blocks <= kMaxBlocks; ++blocks) {
+                SCOPED_TRACE(testing::Message()
+                             << simd::levelName(simd::activeLevel())
+                             << " odd=" << odd << " blocks=" << blocks);
+                std::vector<double> raw(2 * blocks);
+                philox::fillUniformOpenLow(key, kTrial, odd, raw.data(),
+                                           blocks);
+                for (size_t i = 0; i < raw.size(); ++i)
+                    ASSERT_EQ(raw[i], expect[2 * odd + i]) << "i=" << i;
+                if (blocks > 0) {
+                    EXPECT_EQ(philox::minUniformOpenLow(key, kTrial, odd,
+                                                        blocks),
+                              minOf(2 * odd, 2 * blocks));
+                    EXPECT_EQ(philox::maxUniformOpenLow(key, kTrial, odd,
+                                                        blocks),
+                              maxOf(2 * odd, 2 * blocks));
+                }
+
+                // From an odd position the buffered draw comes first
+                // and `blocks` whole blocks follow it.
+                const size_t count = 2 * blocks + odd;
+                Rng filled = Rng::trialStream(kSeed, kTrial);
+                Rng lo = Rng::trialStream(kSeed, kTrial);
+                Rng hi = Rng::trialStream(kSeed, kTrial);
+                for (size_t i = 0; i < odd; ++i) {
+                    (void)filled.next();
+                    (void)lo.next();
+                    (void)hi.next();
+                }
+                std::vector<double> u(count);
+                filled.fillUniformOpenLow(u.data(), count);
+                for (size_t i = 0; i < count; ++i)
+                    ASSERT_EQ(u[i], expect[odd + i]) << "i=" << i;
+                EXPECT_EQ(filled.nextDoubleOpenLow(), expect[odd + count]);
+                if (count > 0) {
+                    EXPECT_EQ(lo.minUniformOpenLow(count), minOf(odd, count));
+                    EXPECT_EQ(hi.maxUniformOpenLow(count), maxOf(odd, count));
+                    EXPECT_EQ(lo.nextDoubleOpenLow(), expect[odd + count]);
+                    EXPECT_EQ(hi.nextDoubleOpenLow(), expect[odd + count]);
+                }
+            }
+        }
+    }
+    simd::clearLevelForTesting();
 }
 
 } // namespace
