@@ -12,6 +12,7 @@
 
 #include "analysis/passes.h"
 #include "bench/harness.h"
+#include "lint/spec_file.h"
 #include "util/table.h"
 
 using namespace lemons;
@@ -54,8 +55,9 @@ LEMONS_BENCH(analysisPipeline, "analysis.pipeline")
     size_t findings = 0;
     double capacityLo = 0.0;
     for (uint64_t rep = 0; rep < reps; ++rep) {
-        const analysis::FileAnalysis analyzed =
-            analysis::analyzeSpecText(kSpecText, "bench.lemons");
+        lint::Report parseFindings;
+        const analysis::FileAnalysis analyzed = analysis::analyzeSpec(
+            lint::parseSpec(kSpecText, "bench.lemons", parseFindings));
         findings += analyzed.findings.diagnostics().size();
         for (const analysis::GraphBudget &graph : analyzed.graphs)
             capacityLo += graph.systemCapacity.lo;

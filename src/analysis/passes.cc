@@ -1,7 +1,6 @@
 #include "analysis/passes.h"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "core/design_solver.h"
@@ -173,11 +172,9 @@ namespace {
 
 /** A001/A102/A004 per lowered graph. */
 void
-analyzeGraphs(const lint::ParsedSpec &parsed,
+analyzeGraphs(const std::vector<ir::Graph> &graphs,
               std::optional<AccessBracket> demand, FileAnalysis &out)
 {
-    lint::Report scratch; // V901 belongs to --verify, not --analyze
-    const std::vector<ir::Graph> graphs = ir::lowerSpec(parsed, scratch);
     for (const ir::Graph &graph : graphs) {
         GraphBudget budget = propagateBudgets(graph, demand);
         const std::string object = budget.graph;
@@ -394,7 +391,8 @@ analyzeAdversaries(const lint::ParsedSpec &parsed, FileAnalysis &out)
 } // namespace
 
 FileAnalysis
-analyzeSpec(const lint::ParsedSpec &parsed)
+analyzeSpec(const lint::ParsedSpec &parsed,
+            const std::vector<ir::Graph> &graphs)
 {
     FileAnalysis out;
 
@@ -410,7 +408,7 @@ analyzeSpec(const lint::ParsedSpec &parsed)
         demand = demand ? join(*demand, bracket) : bracket;
     }
 
-    analyzeGraphs(parsed, demand, out);
+    analyzeGraphs(graphs, demand, out);
     analyzeWorkloads(parsed, out);
     analyzeFleets(parsed, out);
     analyzeAdversaries(parsed, out);
@@ -418,31 +416,10 @@ analyzeSpec(const lint::ParsedSpec &parsed)
 }
 
 FileAnalysis
-analyzeSpecText(std::string_view text, const std::string &filename)
+analyzeSpec(const lint::ParsedSpec &parsed)
 {
-    // The lint pass owns the L-range; parse findings go to a scratch
-    // report so an --analyze run never duplicates them.
-    lint::Report parseFindings;
-    const lint::ParsedSpec parsed =
-        lint::parseSpec(text, filename, parseFindings);
-    FileAnalysis out = analyzeSpec(parsed);
-    out.file = filename;
-    out.findings.setFile(filename);
-    return out;
-}
-
-FileAnalysis
-analyzeSpecFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        FileAnalysis out;
-        out.file = path;
-        return out;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return analyzeSpecText(buffer.str(), path);
+    lint::Report lowering; // V901 is the verifier's finding
+    return analyzeSpec(parsed, ir::lowerSpec(parsed, lowering));
 }
 
 } // namespace lemons::analysis

@@ -24,7 +24,7 @@
  * A cyclic graph (a lowering bug or a hostile spec) yields the
  * all-top vacuous result rather than a crash or an unsound claim.
  *
- * analyzeSpec* then joins the graph results with the demand side
+ * analyzeSpec then joins the graph results with the demand side
  * (workload sections, fleet cohorts) and the adversary obligations
  * (guessing success against a declared ceiling) and emits the stable
  * A-code catalog:
@@ -46,7 +46,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/bracket.h"
@@ -137,16 +136,15 @@ struct FileAnalysis
     lint::Report findings;
 };
 
-/** Analyze a parsed spec (graphs, workloads, fleets, obligations). */
+/**
+ * Analyze a parsed spec (workloads, fleets, obligations) over its
+ * architecture @p graphs, as ir::lowerSpec lowered them.
+ */
+FileAnalysis analyzeSpec(const lint::ParsedSpec &parsed,
+                         const std::vector<ir::Graph> &graphs);
+
+/** analyzeSpec over a fresh lowering of @p parsed (V901s dropped). */
 FileAnalysis analyzeSpec(const lint::ParsedSpec &parsed);
-
-/** Parse and analyze spec text; @p filename stamps diagnostics. */
-FileAnalysis analyzeSpecText(std::string_view text,
-                             const std::string &filename);
-
-/** Analyze one spec file; unreadable files yield an empty result
- *  (the lint pass reports L901). */
-FileAnalysis analyzeSpecFile(const std::string &path);
 
 } // namespace lemons::analysis
 

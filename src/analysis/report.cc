@@ -1,10 +1,43 @@
 #include "analysis/report.h"
 
+#include <utility>
+#include <vector>
+
+#include "ir/lower.h"
+#include "lint/spec_file.h"
 #include "obs/json.h"
+#include "verify/passes.h"
 
 namespace lemons::analysis {
 
 namespace {
+
+/** The checks past the parse; @p findings holds the parse's L-range. */
+AnalyzedFile
+checkParsed(const lint::ParsedSpec &parsed, lint::Report findings,
+            const std::string &filename, CheckDepth depth)
+{
+    AnalyzedFile out;
+    out.findings = std::move(findings);
+    out.analysis.file = filename;
+    if (depth == CheckDepth::Lint)
+        return out;
+
+    lint::Report verified;
+    const std::vector<ir::Graph> graphs = ir::lowerSpec(parsed, verified);
+    for (const ir::Graph &graph : graphs)
+        verified.merge(verify::verifyGraph(graph));
+    verified.setFile(filename);
+    out.findings.merge(std::move(verified));
+    if (depth == CheckDepth::Verify)
+        return out;
+
+    out.analysis = analyzeSpec(parsed, graphs);
+    out.analysis.file = filename;
+    out.analysis.findings.setFile(filename);
+    out.findings.merge(out.analysis.findings);
+    return out;
+}
 
 /** {"lo": x, "hi": y} with unbounded endpoints as null. */
 void
@@ -123,6 +156,24 @@ writeAdversaries(obs::JsonWriter &json,
 }
 
 } // namespace
+
+AnalyzedFile
+checkSpec(std::string_view text, const std::string &filename,
+          CheckDepth depth)
+{
+    lint::Report findings;
+    const lint::ParsedSpec parsed =
+        lint::parseSpec(text, filename, findings);
+    return checkParsed(parsed, std::move(findings), filename, depth);
+}
+
+AnalyzedFile
+checkSpecFile(const std::string &path, CheckDepth depth)
+{
+    lint::Report findings;
+    const lint::ParsedSpec parsed = lint::parseSpecFile(path, findings);
+    return checkParsed(parsed, std::move(findings), path, depth);
+}
 
 void
 writeFindingsJson(obs::JsonWriter &json, const lint::Report &findings)

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "obs/json.h"
+
 namespace lemons::api {
 
 const char *
@@ -338,6 +340,15 @@ class Parser
             }
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("raw control character in string");
+            if (static_cast<unsigned char>(c) >= 0x80) {
+                const size_t length =
+                    obs::utf8SequenceLength(text.substr(pos));
+                if (length == 0)
+                    return fail("invalid UTF-8 in string");
+                out.append(text.substr(pos, length));
+                pos += length;
+                continue;
+            }
             if (c != '\\') {
                 out.push_back(c);
                 ++pos;

@@ -104,9 +104,10 @@ inline constexpr size_t kJsonMaxDepth = 64;
 
 /**
  * Parse @p text as exactly one JSON value (any root kind). Strict:
- * UTF-8 \u escapes (including surrogate pairs) are decoded, anything
- * outside RFC 8259 is an error, and bytes after the root value (other
- * than trailing whitespace) fail the parse.
+ * \u escapes (including surrogate pairs) are decoded to UTF-8, raw
+ * bytes in strings must be well-formed UTF-8 (obs::utf8SequenceLength),
+ * anything outside RFC 8259 is an error, and bytes after the root
+ * value (other than trailing whitespace) fail the parse.
  */
 JsonParseResult parseJson(std::string_view text,
                           size_t maxDepth = kJsonMaxDepth);

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/passes.h"
 #include "analysis/report.h"
 #include "api/codec.h"
 #include "arch/structures_sim.h"
@@ -12,7 +11,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "sim/monte_carlo.h"
-#include "verify/verifier.h"
 #include "wearout/population.h"
 
 namespace lemons::api {
@@ -57,6 +55,30 @@ summaryWriter(const lint::Report &report)
     };
 }
 
+/** POST /v1/lint, /v1/verify and /v1/analyze: one check at @p depth. */
+ServiceResult
+checkSpecRequest(std::string_view body, analysis::CheckDepth depth)
+{
+    lint::Report diagnostics;
+    JsonValue root;
+    SpecRequest request;
+    if (!parseBody(body, root, diagnostics) ||
+        !parseSpecRequest(root, request, diagnostics))
+        return badRequest(diagnostics);
+
+    analysis::AnalyzedFile checked =
+        analysis::checkSpec(request.spec, request.filename, depth);
+    if (depth != analysis::CheckDepth::Analyze)
+        return processed(checked.findings,
+                         summaryWriter(checked.findings));
+
+    ServiceResult result;
+    result.status = 200;
+    result.ok = !checked.findings.hasErrors();
+    result.body = renderAnalysisEnvelope({std::move(checked)});
+    return result;
+}
+
 } // namespace
 
 ServiceResult
@@ -88,69 +110,21 @@ ServiceResult
 Service::lint(std::string_view body) const
 {
     LEMONS_OBS_INCREMENT("api.lint.requests");
-    lint::Report diagnostics;
-    JsonValue root;
-    SpecRequest request;
-    if (!parseBody(body, root, diagnostics) ||
-        !parseSpecRequest(root, request, diagnostics))
-        return badRequest(diagnostics);
-
-    const lint::Report findings =
-        lint::lintText(request.spec, request.filename);
-    return processed(findings, summaryWriter(findings));
+    return checkSpecRequest(body, analysis::CheckDepth::Lint);
 }
 
 ServiceResult
 Service::verify(std::string_view body) const
 {
     LEMONS_OBS_INCREMENT("api.verify.requests");
-    lint::Report diagnostics;
-    JsonValue root;
-    SpecRequest request;
-    if (!parseBody(body, root, diagnostics) ||
-        !parseSpecRequest(root, request, diagnostics))
-        return badRequest(diagnostics);
-
-    // Mirror the CLI's --verify mode: the L-range parse/rule findings
-    // and the V-range verifier findings form one merged report.
-    lint::Report findings =
-        lint::lintText(request.spec, request.filename);
-    findings.merge(verify::verifySpecText(request.spec, request.filename));
-    return processed(findings, summaryWriter(findings));
+    return checkSpecRequest(body, analysis::CheckDepth::Verify);
 }
 
 ServiceResult
 Service::analyze(std::string_view body) const
 {
     LEMONS_OBS_INCREMENT("api.analyze.requests");
-    lint::Report diagnostics;
-    JsonValue root;
-    SpecRequest request;
-    if (!parseBody(body, root, diagnostics) ||
-        !parseSpecRequest(root, request, diagnostics))
-        return badRequest(diagnostics);
-
-    // Full L + V + A merge, the same composition `lemons-lint --json`
-    // performs, so a spec analyzed over HTTP and one analyzed in CI
-    // produce identical envelopes.
-    lint::Report findings =
-        lint::lintText(request.spec, request.filename);
-    findings.merge(verify::verifySpecText(request.spec, request.filename));
-    analysis::FileAnalysis analysis =
-        analysis::analyzeSpecText(request.spec, request.filename);
-    {
-        lint::Report aFindings = analysis.findings;
-        findings.merge(std::move(aFindings));
-    }
-
-    std::vector<analysis::AnalyzedFile> files;
-    files.push_back({findings, std::move(analysis)});
-
-    ServiceResult result;
-    result.status = 200;
-    result.ok = !findings.hasErrors();
-    result.body = renderAnalysisEnvelope(files);
-    return result;
+    return checkSpecRequest(body, analysis::CheckDepth::Analyze);
 }
 
 ServiceResult

@@ -67,10 +67,11 @@ class Service
     /** POST /v1/lint: design-rule findings for an inline spec. */
     ServiceResult lint(std::string_view body) const;
 
-    /** POST /v1/verify: static-verifier findings for an inline spec. */
+    /** POST /v1/verify: lint and static-verifier findings (L+V). */
     ServiceResult verify(std::string_view body) const;
 
-    /** POST /v1/analyze: wear-budget analysis for an inline spec. */
+    /** POST /v1/analyze: L+V+A findings and the analyzer's brackets,
+     *  the document `lemons-lint --json` prints for the same spec. */
     ServiceResult analyze(std::string_view body) const;
 
     /** POST /v1/mc/run: Monte Carlo over [structure] sections. */

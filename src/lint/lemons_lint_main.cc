@@ -11,17 +11,20 @@
  * With --verify the whole-design static verifier also runs: each
  * file's sections are lowered into the architecture IR and the bound-
  * propagation, structural, and secret-flow passes report V-range
- * findings alongside the lint L-range. With --analyze the wear-budget
- * abstract interpreter adds A-range findings: certified access-count
- * brackets, budget-exhaustion and premature-lockout obligations, and
- * adversary-success ceilings. All modes share one merged report per
- * file, so the exit-code and --werror semantics are uniform across
- * the L/V/A families.
+ * findings after the lint L-range. With --analyze (which implies
+ * --verify) the wear-budget abstract interpreter adds A-range
+ * findings: certified access-count brackets, budget-exhaustion and
+ * premature-lockout obligations, and adversary-success ceilings. The
+ * deepest flag given picks the depth of analysis::checkSpecFile, which
+ * parses and lowers each file once into one merged report, so the
+ * exit-code and --werror semantics are uniform across the L/V/A
+ * families.
  *
  * --json emits the whole run as one `lemons-api/1` envelope (implying
  * --analyze): {schema, ok, diagnostics[], result: {files[], errors,
- * warnings}} — the same document lemonsd's POST /v1/analyze returns,
- * so dashboards consume CI runs and server responses with one parser.
+ * warnings}} — for one file, exactly the body lemonsd's POST
+ * /v1/analyze returns, so dashboards consume CI runs and server
+ * responses with one parser.
  *
  * Exit codes: 0 clean (warnings allowed unless --werror), 1 at least
  * one error-severity finding (or any warning under --werror), 2
@@ -32,15 +35,13 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "analysis/passes.h"
 #include "analysis/report.h"
 #include "api/codec.h"
 #include "lint/diagnostics.h"
-#include "lint/spec_file.h"
 #include "util/argparse.h"
-#include "verify/verifier.h"
 
 namespace {
 
@@ -140,10 +141,10 @@ main(int argc, char **argv)
     parser.flag("--analyze", &analyze,
                 "also run the wear-budget abstract interpreter (A-range "
                 "findings: budget exhaustion, premature lockout, dead "
-                "wear, adversary obligations)");
+                "wear, adversary obligations; implies --verify)");
     parser.flag("--json", &json,
-                "emit one lemons-api/1 envelope for the whole run "
-                "(implies --analyze)");
+                "emit one lemons-api/1 envelope for the whole run, the "
+                "POST /v1/analyze body (implies --analyze)");
     parser.flag("--werror", &werror,
                 "treat warnings as errors (uniform across the L/V/A "
                 "families)");
@@ -166,38 +167,33 @@ main(int argc, char **argv)
         printCatalog(std::cout);
         return 0;
     }
-    if (json)
-        analyze = true;
     if (files.empty()) {
         std::cerr << "lemons-lint: no spec files given\n"
                   << parser.helpText();
         return 2;
     }
 
+    using lemons::analysis::CheckDepth;
+    const CheckDepth depth = json || analyze ? CheckDepth::Analyze
+        : verify                             ? CheckDepth::Verify
+                                             : CheckDepth::Lint;
     size_t errors = 0;
     size_t warnings = 0;
     std::vector<lemons::analysis::AnalyzedFile> analyzed;
     for (const std::string &file : files) {
-        lemons::lint::Report report = lemons::lint::lintFile(file);
-        if (verify)
-            report.merge(lemons::verify::verifySpecFile(file));
-        lemons::analysis::FileAnalysis analysis;
-        if (analyze) {
-            analysis = lemons::analysis::analyzeSpecFile(file);
-            lemons::lint::Report findings = analysis.findings;
-            report.merge(std::move(findings));
-        }
+        lemons::analysis::AnalyzedFile checked =
+            lemons::analysis::checkSpecFile(file, depth);
+        const lemons::lint::Report &report = checked.findings;
         errors += report.errorCount();
         warnings += report.warningCount();
-        if (!json) {
-            if (!quiet && !report.empty())
-                std::cout << report.format();
-            std::cout << file << ": " << report.errorCount()
-                      << " error(s), " << report.warningCount()
-                      << " warning(s)\n";
-        } else {
-            analyzed.push_back({std::move(report), std::move(analysis)});
+        if (json) {
+            analyzed.push_back(std::move(checked));
+            continue;
         }
+        if (!quiet && !report.empty())
+            std::cout << report.format();
+        std::cout << file << ": " << report.errorCount() << " error(s), "
+                  << report.warningCount() << " warning(s)\n";
     }
     if (json)
         std::cout << lemons::api::renderAnalysisEnvelope(analyzed);

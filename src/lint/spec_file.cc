@@ -631,21 +631,6 @@ lintText(std::string_view text, const std::string &filename)
     return report;
 }
 
-Report
-lintFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        Report report;
-        report.add(Code::L901, "spec", "", "cannot open '" + path + "'");
-        report.setFile(path);
-        return report;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return lintText(buffer.str(), path);
-}
-
 ParsedSpec
 parseSpecFile(const std::string &path, Report &report)
 {

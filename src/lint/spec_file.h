@@ -128,12 +128,6 @@ ParsedSpec parseSpec(std::string_view text, const std::string &filename,
 Report lintText(std::string_view text, const std::string &filename);
 
 /**
- * Read and lint one spec file. An unreadable file yields an L901
- * error diagnostic rather than an exception.
- */
-Report lintFile(const std::string &path);
-
-/**
  * Read one spec file into typed sections (diagnostics into @p report;
  * an unreadable file yields L901 and an empty spec).
  */

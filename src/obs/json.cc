@@ -13,7 +13,8 @@ jsonEscape(std::string_view text)
 {
     std::string out;
     out.reserve(text.size());
-    for (const char c : text) {
+    for (size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
         switch (c) {
         case '"':
             out += "\\\"";
@@ -43,12 +44,47 @@ jsonEscape(std::string_view text)
                               static_cast<unsigned>(
                                   static_cast<unsigned char>(c)));
                 out += buffer;
-            } else {
+            } else if (static_cast<unsigned char>(c) < 0x80) {
                 out += c;
+            } else if (const size_t length =
+                           utf8SequenceLength(text.substr(i))) {
+                out.append(text.substr(i, length));
+                i += length - 1;
+            } else {
+                out += "\\ufffd";
             }
         }
     }
     return out;
+}
+
+size_t
+utf8SequenceLength(std::string_view text)
+{
+    const auto at = [text](size_t i) {
+        return static_cast<unsigned char>(text[i]);
+    };
+    if (text.empty())
+        return 0;
+    const unsigned lead = at(0);
+    if (lead < 0x80)
+        return 1;
+    // RFC 3629 table: the lead byte fixes the length and the range of
+    // the second byte, narrowed to exclude overlong forms (E0, F0),
+    // encoded surrogates (ED) and code points above U+10FFFF (F4).
+    const size_t length = lead < 0xC2 ? 0
+        : lead < 0xE0                 ? 2
+        : lead < 0xF0                 ? 3
+        : lead < 0xF5                 ? 4
+                                      : 0;
+    const unsigned lo = lead == 0xE0 ? 0xA0 : lead == 0xF0 ? 0x90 : 0x80;
+    const unsigned hi = lead == 0xED ? 0x9F : lead == 0xF4 ? 0x8F : 0xBF;
+    if (length == 0 || text.size() < length || at(1) < lo || at(1) > hi)
+        return 0;
+    for (size_t i = 2; i < length; ++i)
+        if ((at(i) & 0xC0) != 0x80)
+            return 0;
+    return length;
 }
 
 JsonWriter::JsonWriter(std::ostream &sink) : out(sink) {}

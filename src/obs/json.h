@@ -11,6 +11,7 @@
 #ifndef LEMONS_OBS_JSON_H_
 #define LEMONS_OBS_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -19,8 +20,21 @@
 
 namespace lemons::obs {
 
-/** Escape @p text for inclusion inside a JSON string literal. */
+/**
+ * Escape @p text for inclusion inside a JSON string literal. A byte
+ * that does not belong to a well-formed UTF-8 sequence is written as
+ * \ufffd, so the document stays valid JSON whatever @p text holds.
+ */
 std::string jsonEscape(std::string_view text);
+
+/**
+ * Length of the well-formed UTF-8 sequence that starts @p text, or 0
+ * when @p text is empty or starts with an ill-formed one: a stray
+ * continuation byte, a truncated sequence, an overlong form, an
+ * encoded surrogate (U+D800..U+DFFF) or a code point above U+10FFFF
+ * (RFC 3629, section 4).
+ */
+size_t utf8SequenceLength(std::string_view text);
 
 /**
  * Stack-based JSON emitter. Usage:

@@ -44,6 +44,24 @@ configPath(const char *name)
     return std::string(LEMONS_CONFIG_DIR) + "/" + name;
 }
 
+/** The analyzer's result for a shipped config, at analyze depth. */
+analysis::FileAnalysis
+analyzeConfig(const char *name)
+{
+    return analysis::checkSpecFile(configPath(name),
+                                   analysis::CheckDepth::Analyze)
+        .analysis;
+}
+
+/** The analyzer's result for spec @p text, at analyze depth. */
+analysis::FileAnalysis
+analyzeText(const char *text, const char *filename)
+{
+    return analysis::checkSpec(text, filename,
+                               analysis::CheckDepth::Analyze)
+        .analysis;
+}
+
 /** A-severity tallies of a FileAnalysis, ignoring notes. */
 struct ACounts
 {
@@ -316,16 +334,16 @@ TEST(Propagate, StoreOnlyPathIsUnbounded)
 
 TEST(Analyze, BudgetExhaustionRaisesA001)
 {
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecFile(
-        configPath("violations/budget_exhaustion.lemons"));
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("violations/budget_exhaustion.lemons");
     EXPECT_TRUE(analysis.findings.hasCode(lint::Code::A001));
     EXPECT_EQ(aCounts(analysis).errors, 1u);
 }
 
 TEST(Analyze, PrematureFleetRaisesA002)
 {
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecFile(
-        configPath("violations/premature_fleet.lemons"));
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("violations/premature_fleet.lemons");
     EXPECT_TRUE(analysis.findings.hasCode(lint::Code::A002));
     EXPECT_EQ(aCounts(analysis).errors, 1u);
 
@@ -337,8 +355,8 @@ TEST(Analyze, PrematureFleetRaisesA002)
 
 TEST(Analyze, DeadWearRaisesA003)
 {
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecFile(
-        configPath("violations/dead_wear.lemons"));
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("violations/dead_wear.lemons");
     EXPECT_TRUE(analysis.findings.hasCode(lint::Code::A003));
     EXPECT_EQ(aCounts(analysis).errors, 0u);
     EXPECT_EQ(aCounts(analysis).warnings, 1u);
@@ -346,8 +364,8 @@ TEST(Analyze, DeadWearRaisesA003)
 
 TEST(Analyze, GuessingAdversaryRaisesA101)
 {
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecFile(
-        configPath("violations/guessing_adversary.lemons"));
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("violations/guessing_adversary.lemons");
     EXPECT_TRUE(analysis.findings.hasCode(lint::Code::A101));
     ASSERT_EQ(analysis.adversaries.size(), 1u);
     EXPECT_GT(analysis.adversaries[0].success.lo, 0.01);
@@ -355,8 +373,8 @@ TEST(Analyze, GuessingAdversaryRaisesA101)
 
 TEST(Analyze, UnguardedSharesRaiseA102)
 {
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecFile(
-        configPath("violations/unbounded_wearout.lemons"));
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("violations/unbounded_wearout.lemons");
     EXPECT_TRUE(analysis.findings.hasCode(lint::Code::A102));
 }
 
@@ -364,7 +382,7 @@ TEST(Analyze, StraddlingCeilingRaisesA103)
 {
     // A ceiling inside the certified bracket: undecidable statically,
     // warned (A103) rather than condemned.
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecText(
+    const analysis::FileAnalysis analysis = analyzeText(
         "[design]\n"
         "alpha = 10\nbeta = 12\nlab = 91250\nk_fraction = 0.1\n"
         "min_reliability = 0.99\nmax_residual_reliability = 0.01\n"
@@ -376,7 +394,7 @@ TEST(Analyze, StraddlingCeilingRaisesA103)
 
 TEST(Analyze, DischargedObligationRaisesA104)
 {
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecText(
+    const analysis::FileAnalysis analysis = analyzeText(
         "[design]\n"
         "alpha = 10\nbeta = 12\nlab = 91250\nk_fraction = 0.1\n"
         "min_reliability = 0.99\nmax_residual_reliability = 0.01\n"
@@ -393,8 +411,7 @@ TEST(Analyze, ShippedConfigsAreClean)
          {"fault_baseline.lemons", "fleet_smartphone.lemons",
           "otp_messaging.lemons", "paper_defaults.lemons",
           "smartphone_unlock.lemons", "targeting_mission.lemons"}) {
-        const analysis::FileAnalysis analysis =
-            analysis::analyzeSpecFile(configPath(name));
+        const analysis::FileAnalysis analysis = analyzeConfig(name);
         const ACounts counts = aCounts(analysis);
         EXPECT_EQ(counts.errors, 0u) << name << ":\n"
                                      << analysis.findings.format();
@@ -407,8 +424,8 @@ TEST(Analyze, ShippedDesignBracketsStayTight)
 {
     // The smartphone design's certified capacity bracket must stay a
     // sub-percent band around the paper's LAB = 91,250 architecture.
-    const analysis::FileAnalysis analysis = analysis::analyzeSpecFile(
-        configPath("smartphone_unlock.lemons"));
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("smartphone_unlock.lemons");
     bool sawDesign = false;
     for (const analysis::GraphBudget &g : analysis.graphs) {
         if (g.graph != "design")
@@ -425,20 +442,22 @@ TEST(Analyze, ShippedDesignBracketsStayTight)
 
 TEST(Analyze, UnreadableFileYieldsEmptyAnalysis)
 {
-    const analysis::FileAnalysis analysis =
-        analysis::analyzeSpecFile(configPath("no_such_file.lemons"));
-    EXPECT_TRUE(analysis.graphs.empty());
-    EXPECT_TRUE(analysis.findings.empty());
+    const analysis::AnalyzedFile checked = analysis::checkSpecFile(
+        configPath("no_such_file.lemons"), analysis::CheckDepth::Analyze);
+    EXPECT_TRUE(checked.analysis.graphs.empty());
+    EXPECT_TRUE(checked.analysis.findings.empty());
+    // The file is reported once, by the parse, as L901.
+    ASSERT_EQ(checked.findings.diagnostics().size(), 1u);
+    EXPECT_TRUE(checked.findings.hasCode(lint::Code::L901));
 }
 
 // --- the JSON envelope --------------------------------------------------
 
 TEST(AnalyzeJson, ReportCarriesSchemaAndBrackets)
 {
-    analysis::AnalyzedFile entry;
-    entry.analysis = analysis::analyzeSpecFile(
-        configPath("smartphone_unlock.lemons"));
-    entry.findings = entry.analysis.findings;
+    const analysis::AnalyzedFile entry = analysis::checkSpecFile(
+        configPath("smartphone_unlock.lemons"),
+        analysis::CheckDepth::Analyze);
     const std::string json = api::renderAnalysisEnvelope({entry});
 
     EXPECT_NE(json.find("\"schema\":\"lemons-api/1\""), std::string::npos);

@@ -19,6 +19,7 @@
 
 #include "analysis/bracket.h"
 #include "analysis/passes.h"
+#include "analysis/report.h"
 #include "arch/structures_sim.h"
 #include "core/design_solver.h"
 #include "core/usage_bounds.h"
@@ -38,6 +39,24 @@ std::string
 configPath(const char *name)
 {
     return std::string(LEMONS_CONFIG_DIR) + "/" + name;
+}
+
+/** The analyzer's result for a shipped config, at analyze depth. */
+analysis::FileAnalysis
+analyzeConfig(const char *name)
+{
+    return analysis::checkSpecFile(configPath(name),
+                                   analysis::CheckDepth::Analyze)
+        .analysis;
+}
+
+/** The analyzer's result for spec @p text, at analyze depth. */
+analysis::FileAnalysis
+analyzeText(const char *text, const char *filename)
+{
+    return analysis::checkSpec(text, filename,
+                               analysis::CheckDepth::Analyze)
+        .analysis;
 }
 
 /** Bracket check with an MC slack on both sides. */
@@ -75,7 +94,7 @@ findGraph(const analysis::FileAnalysis &analysis, const char *name)
  */
 TEST(AnalysisCross, DesignCapacityBracketsMonteCarlo)
 {
-    const analysis::FileAnalysis analyzed = analysis::analyzeSpecText(
+    const analysis::FileAnalysis analyzed = analyzeText(
         "[design]\n"
         "alpha = 10\nbeta = 12\nlab = 91250\nk_fraction = 0.1\n",
         "design91250.lemons");
@@ -104,7 +123,7 @@ TEST(AnalysisCross, DesignCapacityBracketsMonteCarlo)
  */
 TEST(AnalysisCross, SmallDesignCapacityBracketsMonteCarlo)
 {
-    const analysis::FileAnalysis analyzed = analysis::analyzeSpecText(
+    const analysis::FileAnalysis analyzed = analyzeText(
         "[design]\n"
         "alpha = 10\nbeta = 12\nlab = 100\nk_fraction = 0.1\n",
         "design100.lemons");
@@ -217,8 +236,8 @@ TEST(AnalysisCross, FleetPrematureBracketsCampaignEstimates)
  */
 TEST(AnalysisCross, GuessSuccessBracketsMonteCarlo)
 {
-    const analysis::FileAnalysis analyzed = analysis::analyzeSpecFile(
-        configPath("violations/guessing_adversary.lemons"));
+    const analysis::FileAnalysis analyzed =
+        analyzeConfig("violations/guessing_adversary.lemons");
     ASSERT_EQ(analyzed.adversaries.size(), 1u);
     const analysis::AdversaryAnalysis &adversary = analyzed.adversaries[0];
     const double guessSpace = adversary.guessSpace;
@@ -248,8 +267,8 @@ TEST(AnalysisCross, GuessSuccessBracketsMonteCarlo)
  */
 TEST(AnalysisCross, ParallelStructureCapacityBracketsSimulation)
 {
-    const analysis::FileAnalysis analyzed = analysis::analyzeSpecFile(
-        configPath("paper_defaults.lemons"));
+    const analysis::FileAnalysis analyzed =
+        analyzeConfig("paper_defaults.lemons");
     const analysis::GraphBudget *structure =
         findGraph(analyzed, "parallel-structure");
     ASSERT_NE(structure, nullptr);

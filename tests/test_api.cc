@@ -10,13 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "analysis/report.h"
 #include "api/codec.h"
 #include "api/json.h"
 #include "api/service.h"
 #include "api/types.h"
 #include "lint/diagnostics.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace lemons::api {
@@ -58,6 +62,20 @@ TEST(ApiJson, DecodesEscapesIncludingSurrogatePairs)
               "a\"b\\c\n\xC3\xA9\xF0\x9F\x98\x80");
     // A lone surrogate half is not a code point.
     EXPECT_FALSE(parseJson(R"("\uD83D")").ok);
+}
+
+TEST(ApiJson, RejectsIllFormedUtf8)
+{
+    // Raw bytes in a string must be well-formed UTF-8 (RFC 3629).
+    EXPECT_TRUE(parseJson("\"\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80\"").ok);
+    for (const char *bad :
+         {"\"\x80\"", "\"\xFF\"", "\"\xC3\"", "\"\xC0\xAF\"",
+          "\"\xE0\x80\xAF\"", "\"\xED\xA0\x80\"", "\"\xF4\x90\x80\x80\"",
+          "\"\xF5\x80\x80\x80\""}) {
+        const JsonParseResult result = parseJson(bad);
+        EXPECT_FALSE(result.ok) << bad;
+        EXPECT_EQ(result.offset, 1u) << bad;
+    }
 }
 
 TEST(ApiJson, RejectsDuplicateKeys)
@@ -210,6 +228,20 @@ TEST(ApiService, MalformedBodyMapsToS001And400)
     EXPECT_EQ(result.status, 400);
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(firstCode(parseEnvelope(result.body)), "S001");
+}
+
+TEST(ApiService, IllFormedUtf8MapsToS001And400)
+{
+    // The spec "[\xFF\xFE]" is not UTF-8: refused before any lint runs.
+    const Service service;
+    for (const std::string_view body :
+         {R"({"spec": "[)" "\xFF\xFE" R"(]"})",
+          R"({"spec": "x", "filename": ")" "\xC0\xAF" R"("})"}) {
+        const ServiceResult result = service.lint(body);
+        EXPECT_EQ(result.status, 400);
+        EXPECT_FALSE(result.ok);
+        EXPECT_EQ(firstCode(parseEnvelope(result.body)), "S001");
+    }
 }
 
 TEST(ApiService, NonObjectRootMapsToS001Family)
@@ -391,6 +423,62 @@ TEST(ApiService, McRunBoundsTrialsTimesWidth)
         service.mcRun(mcWideBody(1000, 100, ", \"trials\": 4096"));
     EXPECT_EQ(paper.status, 200) << paper.body;
     EXPECT_TRUE(paper.ok);
+}
+
+// ---------------------------------------------------------------------------
+// One spec check behind the CLI and the daemon
+
+/** The shipped configs and seeded violations, relative to the tree. */
+constexpr const char *kConfigs[] = {
+    "fault_baseline.lemons",
+    "fleet_smartphone.lemons",
+    "otp_messaging.lemons",
+    "paper_defaults.lemons",
+    "smartphone_unlock.lemons",
+    "targeting_mission.lemons",
+    "violations/budget_exhaustion.lemons",
+    "violations/dead_wear.lemons",
+    "violations/guessing_adversary.lemons",
+    "violations/infeasible_bound.lemons",
+    "violations/premature_fleet.lemons",
+    "violations/secret_leak.lemons",
+    "violations/unbounded_wearout.lemons",
+};
+
+TEST(ApiService, AnalyzeBodyIsTheCliJsonDocument)
+{
+    // `lemons-lint --json` renders analysis::checkSpecFile at analyze
+    // depth; POST /v1/analyze must answer the same bytes for the same
+    // spec and file name.
+    const Service service;
+    for (const char *name : kConfigs) {
+        SCOPED_TRACE(name);
+        std::ifstream in(std::string(LEMONS_CONFIG_DIR) + "/" + name);
+        ASSERT_TRUE(in);
+        std::ostringstream text;
+        text << in.rdbuf();
+        const std::string body = "{\"spec\":\"" +
+            obs::jsonEscape(text.str()) + "\",\"filename\":\"" + name +
+            "\"}";
+
+        const ServiceResult served = service.analyze(body);
+        const analysis::AnalyzedFile checked = analysis::checkSpec(
+            text.str(), name, analysis::CheckDepth::Analyze);
+        EXPECT_EQ(served.status, 200);
+        EXPECT_EQ(served.ok, !checked.findings.hasErrors());
+        EXPECT_EQ(served.body, renderAnalysisEnvelope({checked}));
+    }
+}
+
+TEST(ApiEnvelope, IllFormedSpecBytesStayValidJson)
+{
+    // A spec read from disk need not be UTF-8; its bytes reach the
+    // L903 message and must still render a document parseJson takes.
+    const analysis::AnalyzedFile checked = analysis::checkSpec(
+        "[\xFF\xFE]\n", "bad.lemons", analysis::CheckDepth::Analyze);
+    ASSERT_TRUE(checked.findings.hasCode(lint::Code::L903));
+    EXPECT_TRUE(hasCode(parseEnvelope(renderAnalysisEnvelope({checked})),
+                        "L903"));
 }
 
 } // namespace

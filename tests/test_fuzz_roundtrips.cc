@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/passes.h"
+#include "analysis/report.h"
 #include "crypto/hmac.h"
 #include "crypto/otp.h"
 #include "crypto/sha256.h"
@@ -337,7 +338,8 @@ TEST(Fuzz, SpecAnalyzePipelineNeverThrows)
             }
         }
         const analysis::FileAnalysis analyzed =
-            analysis::analyzeSpecText(text, "fuzz");
+            analysis::checkSpec(text, "fuzz", analysis::CheckDepth::Analyze)
+                .analysis;
         // Every finding the analyzer emits is from its own catalog.
         for (const lint::Diagnostic &d :
              analyzed.findings.diagnostics())

@@ -518,9 +518,11 @@ TEST(LintSpecFile, ParserProblemsAreDiagnostics)
 
 TEST(LintSpecFile, UnreadableFileIsL901)
 {
-    const Report report =
-        lint::lintFile("/nonexistent/path/spec.lemons");
+    Report report;
+    const lint::ParsedSpec parsed =
+        lint::parseSpecFile("/nonexistent/path/spec.lemons", report);
     EXPECT_TRUE(firesError(report, Code::L901));
+    EXPECT_TRUE(parsed.empty());
 }
 
 TEST(LintSpecFile, WorkloadAndMixtureSectionsAreLinted)

@@ -226,6 +226,25 @@ TEST(ObsJson, NonFiniteDoublesBecomeNull)
     EXPECT_EQ(out.str(), "[null,null]");
 }
 
+TEST(ObsJson, EscapeWritesIllFormedUtf8AsReplacement)
+{
+    // Well-formed sequences (2, 3 and 4 bytes) pass through; each byte
+    // of an ill-formed one becomes U+FFFD: a stray byte, a truncated
+    // sequence, an encoded surrogate, an overlong form, and a code
+    // point above U+10FFFF.
+    EXPECT_EQ(jsonEscape("\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80"),
+              "\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80");
+    EXPECT_EQ(jsonEscape("a\xFF" "b"), "a\\ufffdb");
+    EXPECT_EQ(jsonEscape("\xC3"), "\\ufffd");
+    EXPECT_EQ(jsonEscape("\xED\xA0\x80"), "\\ufffd\\ufffd\\ufffd");
+    EXPECT_EQ(jsonEscape("\xC0\xAF"), "\\ufffd\\ufffd");
+    EXPECT_EQ(jsonEscape("\xF4\x90\x80\x80"),
+              "\\ufffd\\ufffd\\ufffd\\ufffd");
+    EXPECT_EQ(utf8SequenceLength("\xF4\x8F\xBF\xBF"), 4u); // U+10FFFF
+    EXPECT_EQ(utf8SequenceLength("\xED\x9F\xBF"), 3u);     // U+D7FF
+    EXPECT_EQ(utf8SequenceLength(""), 0u);
+}
+
 TEST(ObsMacros, RegisterAndCountInGlobalRegistry)
 {
     // Names unique to this test so the global registry's state from

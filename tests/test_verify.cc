@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "analysis/report.h"
 #include "core/decision_tree.h"
 #include "core/design_solver.h"
 #include "ir/graph.h"
@@ -18,7 +19,6 @@
 #include "util/math.h"
 #include "verify/interval.h"
 #include "verify/passes.h"
-#include "verify/verifier.h"
 
 namespace lemons {
 namespace {
@@ -328,40 +328,49 @@ TEST(VerifyPasses, CyclicGraphIsV901)
     EXPECT_TRUE(verify::runBoundPass(graph).hasCode(Code::V901));
 }
 
-// --- the spec-text driver used by `lemons-lint --verify` ----------------
+// --- the spec check at verify depth (`lemons-lint --verify`) -----------
+
+/** L then V findings for spec @p text, as `lemons-lint --verify`. */
+Report
+verifySpec(const char *text, const char *filename)
+{
+    return analysis::checkSpec(text, filename,
+                               analysis::CheckDepth::Verify)
+        .findings;
+}
 
 TEST(VerifySpec, SeededViolationConfigsFireStableCodes)
 {
-    const Report leak = verify::verifySpecText("[shares]\n"
-                                               "n = 16\n"
-                                               "k = 8\n"
-                                               "unguarded = 10\n",
-                                               "leak");
+    const Report leak = verifySpec("[shares]\n"
+                                   "n = 16\n"
+                                   "k = 8\n"
+                                   "unguarded = 10\n",
+                                   "leak");
     EXPECT_TRUE(leak.hasCode(Code::V201));
     EXPECT_TRUE(leak.hasCode(Code::V202));
     EXPECT_GT(leak.errorCount(), 0u);
 
-    const Report infeasible = verify::verifySpecText("[structure]\n"
-                                                     "kind = parallel\n"
-                                                     "n = 40\n"
-                                                     "k = 4\n"
-                                                     "access_bound = 30\n"
-                                                     "min_reliability = 0.99\n",
-                                                     "infeasible");
+    const Report infeasible = verifySpec("[structure]\n"
+                                         "kind = parallel\n"
+                                         "n = 40\n"
+                                         "k = 4\n"
+                                         "access_bound = 30\n"
+                                         "min_reliability = 0.99\n",
+                                         "infeasible");
     EXPECT_TRUE(infeasible.hasCode(Code::V002));
     EXPECT_GT(infeasible.errorCount(), 0u);
 }
 
 TEST(VerifySpec, CleanSpecCertifiesWithoutErrors)
 {
-    const Report report = verify::verifySpecText("[structure]\n"
-                                                 "kind = parallel\n"
-                                                 "n = 105\n"
-                                                 "k = 11\n"
-                                                 "access_bound = 10\n"
-                                                 "min_reliability = 0.99\n"
-                                                 "max_residual = 0.01\n",
-                                                 "clean");
+    const Report report = verifySpec("[structure]\n"
+                                     "kind = parallel\n"
+                                     "n = 105\n"
+                                     "k = 11\n"
+                                     "access_bound = 10\n"
+                                     "min_reliability = 0.99\n"
+                                     "max_residual = 0.01\n",
+                                     "clean");
     EXPECT_TRUE(report.hasCode(Code::V001)) << report.format();
     EXPECT_EQ(report.errorCount(), 0u) << report.format();
 }

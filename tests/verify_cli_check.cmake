@@ -1,6 +1,8 @@
 # Negative-control driver for the lemons-lint CLI: run it on a
-# seeded-violation config and assert that it (a) exits non-zero and
-# (b) emits every expected stable diagnostic code.
+# seeded-violation config and assert that it (a) exits 1, the exit
+# for error findings (2 is a usage error), and (b) emits every
+# expected stable diagnostic code, as "[V002]" in the text report or
+# as "code":"V002" in the --json envelope.
 #
 # Usage:
 #   cmake -DLINT=<lemons-lint> -DCONFIG=<file.lemons>
@@ -8,7 +10,8 @@
 #         -P verify_cli_check.cmake
 #
 # FLAGS defaults to --verify; pass a comma-separated list to exercise
-# other modes (e.g. --analyze,--werror for warning-severity A-codes).
+# other modes (e.g. --analyze,--werror for warning-severity A-codes,
+# or --json).
 
 if(NOT LINT OR NOT CONFIG OR NOT EXPECT_CODES)
     message(FATAL_ERROR "verify_cli_check.cmake needs LINT, CONFIG and "
@@ -24,15 +27,17 @@ execute_process(COMMAND ${LINT} ${flag_list} ${CONFIG}
                 ERROR_VARIABLE stderr
                 RESULT_VARIABLE status)
 
-if(status EQUAL 0)
-    message(FATAL_ERROR "expected a non-zero exit from ${LINT} ${FLAGS} "
-                        "${CONFIG}, got success; output:\n${stdout}${stderr}")
+if(NOT status EQUAL 1)
+    message(FATAL_ERROR "expected exit 1 from ${LINT} ${FLAGS} "
+                        "${CONFIG}, got ${status}; output:\n"
+                        "${stdout}${stderr}")
 endif()
 
 string(REPLACE "," ";" expected "${EXPECT_CODES}")
 foreach(code IN LISTS expected)
     string(FIND "${stdout}${stderr}" "[${code}]" at)
-    if(at EQUAL -1)
+    string(FIND "${stdout}" "\"code\":\"${code}\"" jsonAt)
+    if(at EQUAL -1 AND jsonAt EQUAL -1)
         message(FATAL_ERROR "expected [${code}] in the diagnostics for "
                             "${CONFIG}; output:\n${stdout}${stderr}")
     endif()
