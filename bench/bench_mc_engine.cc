@@ -129,27 +129,6 @@ LEMONS_BENCH(mcEngineRunLarge, "mc_engine.run_large")
     ctx.metric("items", static_cast<double>(trials));
 }
 
-LEMONS_BENCH(mcEngineEarlyStop, "mc_engine.early_stop")
-{
-    // CI-width early stopping on a low-variance metric: the run should
-    // finish well short of the requested trial count.
-    const wearout::DeviceFactory factory({9.3, 12.0},
-                                         wearout::ProcessVariation::none());
-    const uint64_t trials = ctx.scaled(200000, 2000);
-    const sim::MonteCarlo mc(ctx.seed(), trials);
-    const auto report = mc.run(
-        [&](Rng &rng) { return largeTrialMetric(factory, rng); },
-        {.chunkSize = 256,
-         .faults = sim::FaultPolicy::Rethrow,
-         .earlyStop = sim::EarlyStop{.relHalfWidth = 0.01,
-                                     .minTrials = 1024,
-                                     .checkEveryChunks = 4}});
-    ctx.keep(report.stats.mean());
-    ctx.metric("items", static_cast<double>(report.trials));
-    ctx.metric("trials_requested", static_cast<double>(trials));
-    ctx.metric("trials_run", static_cast<double>(report.trials));
-}
-
 LEMONS_BENCH(mcEnginePoolReuse, "mc_engine.pool_reuse")
 {
     // Many small pooled runs back to back. threads_created measures the

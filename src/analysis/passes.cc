@@ -1,10 +1,11 @@
 #include "analysis/passes.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "core/design_solver.h"
 #include "ir/lower.h"
+#include "verify/passes.h"
 
 namespace lemons::analysis {
 
@@ -23,46 +24,12 @@ num(double v)
     return out.str();
 }
 
+/** "[lo, hi]" of an AccessBracket or a verify::Interval. */
+template <typename Bracket>
 std::string
-bracketText(AccessBracket bracket)
+bracketText(const Bracket &bracket)
 {
     return "[" + num(bracket.lo) + ", " + num(bracket.hi) + "]";
-}
-
-std::string
-bracketText(verify::Interval interval)
-{
-    return "[" + num(interval.lo) + ", " + num(interval.hi) + "]";
-}
-
-/** Accesses the node itself can serve before wearout exhausts it. */
-AccessBracket
-ownCapacity(const ir::Node &node)
-{
-    verify::Interval expected;
-    switch (node.kind) {
-    case ir::NodeKind::Device:
-        expected =
-            verify::expectedStructureAccesses(node.device, node.n, 1, 0);
-        break;
-    case ir::NodeKind::Parallel:
-        expected = verify::expectedStructureAccesses(node.device, node.n,
-                                                     node.k, 0);
-        break;
-    case ir::NodeKind::Series:
-        expected = verify::expectedStructureAccesses(node.device, 1, 1,
-                                                     node.count);
-        break;
-    default: {
-        // SecretSource / Store / Sink / Replicate wear nothing out:
-        // their capacity is exactly +inf (the identity under the
-        // min-composition), not the vacuous top whose lower endpoint
-        // would drag every downstream bracket to zero.
-        const double inf = std::numeric_limits<double>::infinity();
-        return {inf, inf};
-    }
-    }
-    return {expected.lo, expected.hi};
 }
 
 } // namespace
@@ -110,7 +77,15 @@ propagateBudgets(const ir::Graph &graph,
             inflow = first ? outFlow[pred] : join(inflow, outFlow[pred]);
             first = false;
         }
-        AccessBracket flow = meetMin(ownCapacity(node), inflow);
+        // A node that wears nothing out (SecretSource / Store / Sink /
+        // Replicate) serves exactly +inf on its own: the identity under
+        // the min-composition, not the vacuous top whose lower
+        // endpoint would drag every downstream bracket to zero.
+        const std::optional<verify::Interval> own =
+            verify::expectedNodeAccesses(node);
+        AccessBracket flow = meetMin(
+            own ? AccessBracket{own->lo, own->hi} : AccessBracket{inf, inf},
+            inflow);
         result.nodes[id].capacity = flow;
         outFlow[id] = node.kind == ir::NodeKind::Replicate
                           ? scale(flow, static_cast<double>(node.count))
@@ -311,81 +286,70 @@ analyzeFleets(const lint::ParsedSpec &parsed, FileAnalysis &out)
     }
 }
 
-/** A101/A103/A104 per [design] section with a declared guess space. */
+/** A101/A103/A104 (A004 without a ceiling) for one guessing obligation. */
 void
-analyzeAdversaries(const lint::ParsedSpec &parsed, FileAnalysis &out)
+analyzeAdversary(const ir::Graph &graph, const ir::Obligation &guess,
+                 FileAnalysis &out)
 {
-    for (const lint::DesignSection &section : parsed.designs) {
-        if (!section.options.guessSpace)
-            continue;
-        const double space = *section.options.guessSpace;
-        if (!(space > 0.0) || !std::isfinite(space))
-            continue;
-        core::Design design;
-        try {
-            design = core::DesignSolver(section.request).solve();
-        } catch (const lint::LintError &) {
-            continue; // the lint pass already condemned the request
-        }
-        if (!design.feasible)
-            continue;
+    const double space = guess.access;
+    if (!(space > 0.0) || !std::isfinite(space))
+        return;
+    const std::optional<verify::SystemTotal> total =
+        verify::expectedSystemTotal(graph, guess.target);
+    if (!total)
+        return;
 
-        // The access budget the hardware concedes to a guessing
-        // adversary: the certified expected system total, stretched
-        // to the declared upper-bound target when one exists.
-        const verify::Interval perCopy =
-            verify::expectedStructureAccesses(section.request.device,
-                                              design.width,
-                                              design.threshold, 0);
-        const double copies = static_cast<double>(design.copies);
-        double budgetLo = perCopy.lo * copies;
-        double budgetHi = perCopy.hi * copies;
-        if (section.request.upperBoundTarget)
-            budgetHi = std::max(
-                budgetHi,
-                static_cast<double>(*section.request.upperBoundTarget));
+    // The access budget the hardware concedes to a guessing
+    // adversary: the certified expected system total, stretched to
+    // the declared upper-bound target when one exists.
+    const double budgetLo = total->total.lo;
+    double budgetHi = total->total.hi;
+    for (const ir::Obligation &bound : graph.obligations())
+        if (bound.kind == ir::Obligation::Kind::ExpectedTotal &&
+            bound.target == guess.target && bound.hasCeiling)
+            budgetHi = std::max(budgetHi, bound.ceiling);
 
-        AdversaryAnalysis adversary;
-        adversary.guessSpace = space;
-        adversary.ceiling = section.options.guessSuccessCeiling;
-        adversary.success.lo = std::min(1.0, budgetLo / space);
-        adversary.success.hi = std::min(1.0, budgetHi / space);
-        if (std::isnan(adversary.success.lo) ||
-            std::isnan(adversary.success.hi))
-            adversary.success = {0.0, 1.0};
+    AdversaryAnalysis adversary;
+    adversary.graph = graph.name();
+    adversary.guessSpace = space;
+    if (guess.hasCeiling)
+        adversary.ceiling = guess.ceiling;
+    adversary.success.lo = std::min(1.0, budgetLo / space);
+    adversary.success.hi = std::min(1.0, budgetHi / space);
+    if (std::isnan(adversary.success.lo) ||
+        std::isnan(adversary.success.hi))
+        adversary.success = {0.0, 1.0};
 
-        const std::string object = "design";
-        const std::string claim =
-            "guessing-adversary success bracket " +
-            bracketText(adversary.success) + " over a guess space of " +
-            num(space);
-        if (adversary.ceiling) {
-            const double ceiling = *adversary.ceiling;
-            if (adversary.success.lo > ceiling) {
-                out.findings.add(
-                    Code::A101, object, "guess-success",
-                    claim + " provably exceeds the declared ceiling " +
-                        num(ceiling),
-                    "enlarge the guess space or shrink the conceded "
-                    "access budget");
-            } else if (adversary.success.hi > ceiling) {
-                out.findings.add(
-                    Code::A103, object, "guess-success",
-                    claim + " straddles the declared ceiling " +
-                        num(ceiling) +
-                        ": the obligation is honestly undecided");
-            } else {
-                out.findings.add(Code::A104, object, "guess-success",
-                                 claim +
-                                     " stays below the declared "
-                                     "ceiling " +
-                                     num(ceiling));
-            }
+    const std::string &object = adversary.graph;
+    const std::string claim =
+        "guessing-adversary success bracket " +
+        bracketText(adversary.success) + " over a guess space of " +
+        num(space);
+    if (adversary.ceiling) {
+        const double ceiling = *adversary.ceiling;
+        if (adversary.success.lo > ceiling) {
+            out.findings.add(
+                Code::A101, object, "guess-success",
+                claim + " provably exceeds the declared ceiling " +
+                    num(ceiling),
+                "enlarge the guess space or shrink the conceded "
+                "access budget");
+        } else if (adversary.success.hi > ceiling) {
+            out.findings.add(
+                Code::A103, object, "guess-success",
+                claim + " straddles the declared ceiling " +
+                    num(ceiling) +
+                    ": the obligation is honestly undecided");
         } else {
-            out.findings.add(Code::A004, object, "guess-success", claim);
+            out.findings.add(Code::A104, object, "guess-success",
+                             claim + " stays below the declared "
+                                     "ceiling " +
+                                 num(ceiling));
         }
-        out.adversaries.push_back(std::move(adversary));
+    } else {
+        out.findings.add(Code::A004, object, "guess-success", claim);
     }
+    out.adversaries.push_back(std::move(adversary));
 }
 
 } // namespace
@@ -411,7 +375,10 @@ analyzeSpec(const lint::ParsedSpec &parsed,
     analyzeGraphs(graphs, demand, out);
     analyzeWorkloads(parsed, out);
     analyzeFleets(parsed, out);
-    analyzeAdversaries(parsed, out);
+    for (const ir::Graph &graph : graphs)
+        for (const ir::Obligation &guess : graph.obligations())
+            if (guess.kind == ir::Obligation::Kind::GuessSuccess)
+                analyzeAdversary(graph, guess, out);
     return out;
 }
 

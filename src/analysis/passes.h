@@ -113,10 +113,10 @@ struct CohortAnalysis
     AccessBracket horizonDemand = AccessBracket::top();
 };
 
-/** Guessing-adversary obligation for one [design] section. */
+/** A lowered graph's GuessSuccess obligation, discharged. */
 struct AdversaryAnalysis
 {
-    std::string graph = "design";
+    std::string graph; ///< the IR graph's name ("design")
     double guessSpace = 0.0;
     std::optional<double> ceiling{};
     /** Certified bracket on P(adversary guesses the secret) when the
@@ -137,8 +137,9 @@ struct FileAnalysis
 };
 
 /**
- * Analyze a parsed spec (workloads, fleets, obligations) over its
- * architecture @p graphs, as ir::lowerSpec lowered them.
+ * Analyze a parsed spec's workloads and fleets over its architecture
+ * @p graphs, as ir::lowerSpec lowered them; the guessing obligations
+ * (and their access budgets) come from the graphs alone.
  */
 FileAnalysis analyzeSpec(const lint::ParsedSpec &parsed,
                          const std::vector<ir::Graph> &graphs);

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <exception>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -236,27 +235,16 @@ runTrials(uint64_t seed, const McRunOptions &options,
     ThreadPool &pool = ThreadPool::global();
     RunningStats streaming;
     uint64_t executedChunks = 0;
-    bool stoppedEarly = false;
     InterruptReason interrupt = InterruptReason::None;
 
-    // Wave-boundary periods. Early-stop checks fire at multiples of
-    // the EarlyStop period, checkpoints at multiples of the checkpoint
-    // period; when both are present the wave length is their gcd so
-    // every boundary either feature needs is an actual boundary and
-    // neither shifts the other's deterministic trigger points.
-    const uint64_t earlyStopEvery =
-        options.earlyStop
-            ? std::max<uint64_t>(1, options.earlyStop->checkEveryChunks)
-            : 0;
+    // Waves end at multiples of the checkpoint period, so every
+    // checkpoint lands on an actual boundary.
     const uint64_t checkpointEvery =
         options.checkpoint ? (options.checkpointEveryChunks != 0
                                   ? options.checkpointEveryChunks
                                   : kDefaultCheckpointChunks)
                            : 0;
-    uint64_t wave = earlyStopEvery;
-    if (checkpointEvery != 0)
-        wave = wave != 0 ? std::gcd(wave, checkpointEvery)
-                         : checkpointEvery;
+    uint64_t wave = checkpointEvery;
     if (wave == 0 &&
         (options.cancel != nullptr || options.deadline.has_value()))
         wave = kDefaultCheckpointChunks; // interrupt-poll granularity
@@ -322,24 +310,11 @@ runTrials(uint64_t seed, const McRunOptions &options,
         if (checkpointEvery != 0 &&
             executedChunks % checkpointEvery == 0)
             takeCheckpoint();
-        if (options.earlyStop && executedChunks < chunkCount &&
-            executedChunks % earlyStopEvery == 0 &&
-            streaming.count() >= options.earlyStop->minTrials &&
-            streaming.count() >= 2) {
-            const double halfWidth = 1.96 * streaming.meanStdError();
-            if (halfWidth <= options.earlyStop->relHalfWidth *
-                                 std::abs(streaming.mean())) {
-                stoppedEarly = true;
-                LEMONS_OBS_INCREMENT("sim.mc.early_stops");
-                break;
-            }
-        }
     }
 
     const uint64_t trialsRun =
         std::min(trials, executedChunks * chunkSize);
     report.trials = trialsRun;
-    report.stoppedEarly = stoppedEarly;
     report.interrupt = interrupt;
     LEMONS_OBS_COUNT("sim.mc.trials", trialsRun);
 

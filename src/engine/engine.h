@@ -14,10 +14,8 @@
  * count.
  *
  * Execution runs on the persistent ThreadPool (no thread creation
- * after warmup) and can stop early once the confidence interval of the
- * running mean is tight enough — early-stop decisions happen at fixed
- * wave boundaries (multiples of checkEveryChunks chunks), so the
- * stopped trial count is deterministic too.
+ * after warmup), in waves of chunks; checkpoints, cancellation and
+ * deadlines act only at wave boundaries.
  */
 
 #ifndef LEMONS_ENGINE_ENGINE_H_
@@ -46,24 +44,6 @@ constexpr uint64_t kDefaultChunkSize = 1024;
 constexpr uint64_t kDefaultCheckpointChunks = 8;
 
 /**
- * Optional CI-width early stopping: once at least minTrials clean
- * samples are in, the run stops at the next wave boundary where the
- * 95 % half-width of the mean is within relHalfWidth * |mean|.
- * Checks happen every checkEveryChunks chunks, so the stopping point
- * depends only on (seed, chunkSize, checkEveryChunks) — never on the
- * thread count.
- */
-struct EarlyStop
-{
-    /** Target relative half-width (1.96 * SE <= this * |mean|). */
-    double relHalfWidth = 0.01;
-    /** Never stop before this many trials. */
-    uint64_t minTrials = 1024;
-    /** Wave length between checks, in chunks (>= 1). */
-    uint64_t checkEveryChunks = 8;
-};
-
-/**
  * Cooperative cancellation flag shared between a run and its owner.
  * cancel() may be called from any thread (a signal-adjacent watchdog,
  * a server shutdown path); the engine observes it at wave boundaries,
@@ -90,7 +70,7 @@ class CancelToken
 
 /** Why a run returned before executing its requested trials. */
 enum class InterruptReason {
-    None,             ///< ran to completion (or stopped early by CI width)
+    None,             ///< ran to completion
     Cancelled,        ///< CancelToken fired
     DeadlineExceeded, ///< wall-clock deadline passed
 };
@@ -161,8 +141,6 @@ struct McRunOptions
     bool keepSamples = true;
     /** Throwing-trial handling. */
     FaultPolicy faults = FaultPolicy::Capture;
-    /** Optional CI-width early stopping. */
-    std::optional<EarlyStop> earlyStop;
 
     /**
      * Cooperative cancellation. Checked at wave boundaries; when it
@@ -237,9 +215,6 @@ struct TrialReport
 
     /** Trials the run was asked for. */
     uint64_t requestedTrials = 0;
-
-    /** Whether CI-width early stopping ended the run. */
-    bool stoppedEarly = false;
 
     /** Why the run returned before its requested trials, if it did. */
     InterruptReason interrupt = InterruptReason::None;

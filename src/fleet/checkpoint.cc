@@ -312,7 +312,9 @@ decodeCheckpoint(const void *data, size_t size, const std::string &source)
 
     ByteReader header(bytes + kMagicSize, size - kMagicSize, source);
     const uint64_t payloadSize = header.u64();
-    if (header.left() < payloadSize + 4)
+    // left() - 4 rather than payloadSize + 4: a length near 2^64
+    // would wrap the sum and pass a truncated file on to C106.
+    if (header.left() < 4 || header.left() - 4 < payloadSize)
         throw CheckpointError(
             source + ": " + codeTag(lint::Code::C103) +
             " truncated checkpoint (payload of " +

@@ -76,9 +76,11 @@ struct Node
 };
 
 /**
- * A proof obligation the verifier must certify against the design's
- * degradation criteria. Obligations anchor to the node whose survival
- * (or expected-access) bracket they constrain.
+ * A proof obligation against the design's degradation criteria.
+ * Obligations anchor to the node whose survival (or expected-access)
+ * bracket they constrain. The verifier certifies all but
+ * GuessSuccess, which the wear-budget analyzer (lemons::analysis)
+ * discharges as A101/A103/A104.
  */
 struct Obligation
 {
@@ -87,6 +89,9 @@ struct Obligation
         ResidualCeiling, ///< P(target survives `access`) <= ceiling
         ExpectedTotal,   ///< E[system total accesses] in [floor, ceiling]
         OtpBounds,       ///< OTP receiver floor / adversary ceiling
+        GuessSuccess,    ///< guessing the secret within the expected
+                         ///< total at `target`: guess space `access`,
+                         ///< optional success `ceiling`
     };
 
     Kind kind = Kind::SurvivalFloor;

@@ -19,7 +19,8 @@ makeNode(NodeKind kind, std::string label)
 } // namespace
 
 Graph
-lowerDesign(const core::DesignRequest &request, const core::Design &design)
+lowerDesign(const core::DesignRequest &request, const core::Design &design,
+            const lint::DesignLintOptions &options)
 {
     Graph graph("design");
 
@@ -83,6 +84,18 @@ lowerDesign(const core::DesignRequest &request, const core::Design &design)
         total.hasCeiling = true;
     }
     graph.addObligation(total);
+
+    if (options.guessSpace) {
+        Obligation guess;
+        guess.kind = Obligation::Kind::GuessSuccess;
+        guess.target = repId;
+        guess.access = *options.guessSpace;
+        if (options.guessSuccessCeiling) {
+            guess.ceiling = *options.guessSuccessCeiling;
+            guess.hasCeiling = true;
+        }
+        graph.addObligation(guess);
+    }
 
     return graph;
 }
@@ -262,7 +275,8 @@ lowerSpec(const lint::ParsedSpec &spec, lint::Report &report)
                            "relax the criteria or raise max_width");
                 continue;
             }
-            graphs.push_back(lowerDesign(section.request, design));
+            graphs.push_back(
+                lowerDesign(section.request, design, section.options));
         } catch (const lint::LintError &error) {
             report.add(lint::Code::V901, "[design]", "",
                        std::string("design request rejected: ") +

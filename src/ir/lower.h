@@ -35,10 +35,12 @@ namespace lemons::ir {
 /**
  * Lower a solved design: SecretSource -> Device bank -> k-of-n
  * Parallel -> Replicate(N) -> Sink, with the request's degradation
- * criteria as obligations. @p design must be feasible.
+ * criteria as obligations, plus a GuessSuccess obligation when
+ * @p options declares a guess space. @p design must be feasible.
  */
 Graph lowerDesign(const core::DesignRequest &request,
-                  const core::Design &design);
+                  const core::Design &design,
+                  const lint::DesignLintOptions &options = {});
 
 /**
  * Lower a series/parallel structure spec; optional accessBound /
@@ -64,8 +66,10 @@ Graph lowerOtp(const core::OtpParams &params,
 
 /**
  * Lower every architecture-bearing section of a parsed spec file.
- * [design] sections are solved first (an infeasible request emits
- * V901 and is skipped); a [fault] section attaches its plan to every
+ * [design] sections are solved here, and only here: an infeasible or
+ * rejected request emits V901 and lowers to no graph, so every design
+ * graph (and its guess space) is a solved section. A [fault] section
+ * attaches its plan to every
  * Device node of the file's graphs. Lint-only sections ([mway],
  * [workload], [mixture]) do not lower.
  */

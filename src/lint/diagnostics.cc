@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 namespace lemons::lint {
 
@@ -80,6 +81,30 @@ codeInfo(Code code)
     return codeCatalog()[static_cast<size_t>(code)];
 }
 
+namespace {
+
+/**
+ * @p text with C0 control bytes and DEL written as \xNN: spec bytes
+ * reach the text report verbatim otherwise, and an ESC among them
+ * would drive the reader's terminal.
+ */
+std::string
+printable(std::string_view text)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : text) {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20 || byte == 0x7f)
+            out += {'\\', 'x', kHex[byte >> 4], kHex[byte & 0xf]};
+        else
+            out += c;
+    }
+    return out;
+}
+
+} // namespace
+
 std::string
 Diagnostic::format() const
 {
@@ -92,7 +117,7 @@ Diagnostic::format() const
     out << ": " << message;
     if (!hint.empty())
         out << " (fix: " << hint << ")";
-    return out.str();
+    return printable(out.str());
 }
 
 void

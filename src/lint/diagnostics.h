@@ -109,7 +109,8 @@ struct Diagnostic
     /** "L001". */
     const char *id() const { return codeInfo(code).id; }
 
-    /** One-line rendering: file: [code] severity object.field: msg. */
+    /** One-line rendering: file: [code] severity object.field: msg.
+     *  Control bytes (below 0x20, and 0x7f) render as \xNN. */
     std::string format() const;
 };
 

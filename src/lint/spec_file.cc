@@ -623,14 +623,6 @@ parseSpec(std::string_view text, const std::string &filename,
     return parsed;
 }
 
-Report
-lintText(std::string_view text, const std::string &filename)
-{
-    Report report;
-    (void)parseSpec(text, filename, report);
-    return report;
-}
-
 ParsedSpec
 parseSpecFile(const std::string &path, Report &report)
 {

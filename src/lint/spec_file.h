@@ -123,11 +123,6 @@ ParsedSpec parseSpec(std::string_view text, const std::string &filename,
                      Report &report);
 
 /**
- * Lint spec text. @p filename is used only to stamp diagnostics.
- */
-Report lintText(std::string_view text, const std::string &filename);
-
-/**
  * Read one spec file into typed sections (diagnostics into @p report;
  * an unreadable file yields L901 and an empty spec).
  */

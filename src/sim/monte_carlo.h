@@ -9,8 +9,8 @@
  *
  * Execution is delegated to lemons::engine::runTrials, the batched
  * chunk-parallel engine: one run() entry point takes an McRunOptions
- * struct that selects thread count, sample retention, fault policy,
- * early stopping and checkpointing.
+ * struct that selects thread count, sample retention, fault policy
+ * and checkpointing.
  */
 
 #ifndef LEMONS_SIM_MONTE_CARLO_H_
@@ -27,7 +27,6 @@ namespace lemons::sim {
 
 // The execution substrate lives in lemons::engine; sim re-exports the
 // vocabulary types so call sites keep reading naturally.
-using engine::EarlyStop;
 using engine::FaultPolicy;
 using engine::McRunOptions;
 using engine::TrialReport;

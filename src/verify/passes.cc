@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -137,40 +138,12 @@ void
 checkExpectedTotal(const Graph &graph, const Obligation &obligation,
                    Report &report)
 {
-    // The obligation targets the Replicate node; the structure whose
-    // per-copy expectation is summed sits right behind it (or is the
-    // target itself in hand-built graphs).
-    const Node &target = graph.node(obligation.target);
-    NodeId structId = obligation.target;
-    double copies = 1.0;
-    if (target.kind == NodeKind::Replicate) {
-        copies = static_cast<double>(target.count);
-        const std::vector<NodeId> preds =
-            graph.predecessors(obligation.target);
-        if (preds.empty())
-            return;
-        structId = preds.front();
-    }
-    const Node &structure = graph.node(structId);
-    Interval per{0.0, 0.0};
-    switch (structure.kind) {
-    case NodeKind::Parallel:
-        per = expectedStructureAccesses(structure.device, structure.n,
-                                        structure.k, 0);
-        break;
-    case NodeKind::Series:
-        per = expectedStructureAccesses(structure.device, 1, 1,
-                                        structure.count);
-        break;
-    case NodeKind::Device:
-        per = expectedStructureAccesses(structure.device, structure.n,
-                                        1, 0);
-        break;
-    default:
+    const std::optional<SystemTotal> expected =
+        expectedSystemTotal(graph, obligation.target);
+    if (!expected)
         return; // nothing access-bearing to sum over
-    }
-    const Interval total{per.lo * copies, per.hi * copies};
-    const std::string field = structure.label;
+    const auto &[structure, copies, total] = *expected;
+    const std::string field = graph.node(structure).label;
     const std::string claim =
         "E[system total accesses] in " + bracket(total);
     bool pass = true;
@@ -372,6 +345,41 @@ checkRedundancyWaste(const Graph &graph, Report &report)
 
 } // namespace
 
+std::optional<Interval>
+expectedNodeAccesses(const Node &node)
+{
+    switch (node.kind) {
+    case NodeKind::Device:
+        return expectedStructureAccesses(node.device, node.n, 1, 0);
+    case NodeKind::Parallel:
+        return expectedStructureAccesses(node.device, node.n, node.k, 0);
+    case NodeKind::Series:
+        return expectedStructureAccesses(node.device, 1, 1, node.count);
+    default:
+        return std::nullopt; // wears nothing out
+    }
+}
+
+std::optional<SystemTotal>
+expectedSystemTotal(const Graph &graph, NodeId target)
+{
+    SystemTotal out;
+    out.structure = target;
+    if (graph.node(target).kind == NodeKind::Replicate) {
+        const std::vector<NodeId> preds = graph.predecessors(target);
+        if (preds.empty())
+            return std::nullopt;
+        out.copies = static_cast<double>(graph.node(target).count);
+        out.structure = preds.front();
+    }
+    const std::optional<Interval> per =
+        expectedNodeAccesses(graph.node(out.structure));
+    if (!per)
+        return std::nullopt;
+    out.total = {per->lo * out.copies, per->hi * out.copies};
+    return out;
+}
+
 Report
 runBoundPass(const Graph &graph)
 {
@@ -396,6 +404,8 @@ runBoundPass(const Graph &graph)
         case Obligation::Kind::OtpBounds:
             checkOtpBounds(graph, obligation, report);
             break;
+        case Obligation::Kind::GuessSuccess:
+            break; // the analyzer's A101 obligation
         }
     }
     return report;

@@ -7,10 +7,10 @@
  *
  *  - bound propagation (V0xx): composes certified survival brackets
  *    through the graph (series = product, k-of-n = binomial tail,
- *    expected totals = survival sums) and decides each obligation as
- *    PASS (V001 note), FAIL (V002/V003/V005/V006/V007 error, V008
- *    warning), or honestly inconclusive (V004) when the criterion
- *    lies inside the bracket;
+ *    expected totals = survival sums) and decides each obligation
+ *    but the analyzer's GuessSuccess as PASS (V001 note), FAIL
+ *    (V002/V003/V005/V006/V007 error, V008 warning), or honestly
+ *    inconclusive (V004) when the criterion lies inside the bracket;
  *
  *  - structural rules (V1xx): source-to-sink reachability (V101 dead
  *    nodes, V103 fault plans on never-traversed nodes) and
@@ -27,10 +27,37 @@
 #ifndef LEMONS_VERIFY_PASSES_H_
 #define LEMONS_VERIFY_PASSES_H_
 
+#include <optional>
+
 #include "ir/graph.h"
 #include "lint/diagnostics.h"
+#include "verify/interval.h"
 
 namespace lemons::verify {
+
+/**
+ * Certified expected accesses @p node serves before wearout exhausts
+ * it: E[1-of-n] for a Device bank, the k-of-n order-statistic
+ * expectation for a Parallel node, the chain expectation for a Series
+ * node. Nodes that wear nothing out yield nullopt.
+ */
+std::optional<Interval> expectedNodeAccesses(const ir::Node &node);
+
+/** E[system total accesses] at one node, as expectedSystemTotal sums it. */
+struct SystemTotal
+{
+    ir::NodeId structure = 0; ///< the access-bearing node summed over
+    double copies = 1.0;      ///< serially consumed copies
+    Interval total{0.0, 0.0}; ///< copies x the structure's expectation
+};
+
+/**
+ * E[system total accesses] at @p target: a Replicate node sums its
+ * (first) predecessor's expectation over its copies; any other node
+ * counts once. nullopt when no access-bearing node sits there.
+ */
+std::optional<SystemTotal> expectedSystemTotal(const ir::Graph &graph,
+                                               ir::NodeId target);
 
 /** V0xx: certify every obligation against propagated brackets. */
 lint::Report runBoundPass(const ir::Graph &graph);

@@ -20,6 +20,7 @@
 #include "ir/graph.h"
 #include "lint/diagnostics.h"
 #include "lint/rules.h"
+#include "obs/metrics.h"
 #include "verify/interval.h"
 
 namespace lemons {
@@ -403,6 +404,36 @@ TEST(Analyze, DischargedObligationRaisesA104)
     EXPECT_TRUE(analysis.findings.hasCode(lint::Code::A104));
     EXPECT_EQ(aCounts(analysis).errors, 0u);
     EXPECT_EQ(aCounts(analysis).warnings, 0u);
+}
+
+TEST(Analyze, DesignIsSolvedOncePerCheck)
+{
+    // ir::lowerSpec is the one place a [design] is solved; the
+    // adversary pass reads its budget from the lowered graph.
+    const obs::Counter &solves =
+        obs::Registry::global().counter("core.solver.solves");
+    const uint64_t before = solves.get();
+    const analysis::FileAnalysis analysis =
+        analyzeConfig("smartphone_unlock.lemons");
+    EXPECT_EQ(solves.get() - before, 1u);
+    ASSERT_EQ(analysis.adversaries.size(), 1u);
+    EXPECT_EQ(analysis.adversaries[0].guessSpace, 1e6);
+}
+
+TEST(Analyze, InfeasibleDesignHasNoAdversary)
+{
+    // A section that lowers to no graph carries no guessing
+    // obligation: V901 is its only verdict.
+    const analysis::AnalyzedFile checked = analysis::checkSpec(
+        "[design]\n"
+        "alpha = 10\nbeta = 12\nlab = 91250\nk_fraction = 0.1\n"
+        "min_reliability = 0.99\nmax_residual_reliability = 0.01\n"
+        "max_width = 8\nguess_space = 1e6\n"
+        "guess_success_ceiling = 0.5\n",
+        "infeasible.lemons", analysis::CheckDepth::Analyze);
+    EXPECT_TRUE(checked.findings.hasCode(lint::Code::V901))
+        << checked.findings.format();
+    EXPECT_TRUE(checked.analysis.adversaries.empty());
 }
 
 TEST(Analyze, ShippedConfigsAreClean)

@@ -211,32 +211,6 @@ TEST(Determinism, NonFiniteQuarantineIsThreadInvariant)
     }
 }
 
-TEST(Determinism, EarlyStopPointIsThreadInvariant)
-{
-    // Early stopping is decided at wave boundaries from chunk-ordered
-    // streaming statistics, so the stopped trial count and the kept
-    // samples are identical at any thread count.
-    const MonteCarlo engine(21, 100000);
-    const McRunOptions base{
-        .chunkSize = 128,
-        .faults = FaultPolicy::Rethrow,
-        .earlyStop = EarlyStop{.relHalfWidth = 0.02,
-                               .minTrials = 512,
-                               .checkEveryChunks = 4}};
-    McRunOptions serialOptions = base;
-    const TrialReport serial = engine.run(structureMetric, serialOptions);
-    EXPECT_TRUE(serial.stoppedEarly);
-    EXPECT_LT(serial.trials, serial.requestedTrials);
-    for (const unsigned threads : kThreadCounts) {
-        McRunOptions options = base;
-        options.threads = threads;
-        const TrialReport report = engine.run(structureMetric, options);
-        EXPECT_EQ(report.trials, serial.trials) << threads;
-        EXPECT_EQ(report.stoppedEarly, serial.stoppedEarly) << threads;
-        expectBitIdentical(report.samples, serial.samples);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Counter-based stream goldens.
 //
@@ -292,7 +266,7 @@ statsDigest(const RunningStats &stats)
 constexpr uint64_t kGoldenSeed = 20170624;
 constexpr uint64_t kGoldenTrials = 501;
 /** Digest of the 501 per-trial samples — invariant across threads,
- *  chunk sizes, SIMD level, early-stop arming, and resume. */
+ *  chunk sizes, SIMD level, and resume. */
 constexpr uint64_t kGoldenSampleDigest = 0x6ea8701c802e958fULL;
 /** Digest of the streaming statistics at chunkSize 64. The moments
  *  are merged in chunk order, so this one is pinned per chunk size
@@ -318,36 +292,22 @@ TEST(Determinism, SimdLevelDoesNotChangeSamples)
     expectBitIdentical(vectorized, scalar);
 }
 
-TEST(Determinism, GoldenDigestAcrossThreadsChunksAndEarlyStopArming)
+TEST(Determinism, GoldenDigestAcrossThreadsAndChunks)
 {
     // Every scheduling configuration must reproduce the recorded
-    // sample digest bit-for-bit. The armed early stop uses a target
-    // half-width no run can reach, so arming the machinery (wave
-    // bookkeeping, boundary checks) must not perturb the stream.
-    // (A *firing* early stop legitimately depends on the chunk size,
-    // because stop points are wave boundaries; thread invariance of
-    // the fired case is pinned by EarlyStopPointIsThreadInvariant.)
+    // sample digest bit-for-bit.
     const MonteCarlo engine(kGoldenSeed, kGoldenTrials);
     const uint64_t chunkSizes[] = {0, 1, 7, 4096};
     for (const unsigned threads : kThreadCounts) {
         for (const uint64_t chunk : chunkSizes) {
-            for (const bool armed : {false, true}) {
-                McRunOptions options;
-                options.threads = threads;
-                options.chunkSize = chunk;
-                options.faults = FaultPolicy::Rethrow;
-                if (armed)
-                    options.earlyStop =
-                        EarlyStop{.relHalfWidth = 1e-12,
-                                  .minTrials = kGoldenTrials,
-                                  .checkEveryChunks = 1};
-                const TrialReport report =
-                    engine.run(nominalKernelMetric, options);
-                EXPECT_FALSE(report.stoppedEarly);
-                EXPECT_EQ(bitDigest(report.samples), kGoldenSampleDigest)
-                    << "threads=" << threads << " chunk=" << chunk
-                    << " earlyStopArmed=" << armed;
-            }
+            McRunOptions options;
+            options.threads = threads;
+            options.chunkSize = chunk;
+            options.faults = FaultPolicy::Rethrow;
+            const TrialReport report =
+                engine.run(nominalKernelMetric, options);
+            EXPECT_EQ(bitDigest(report.samples), kGoldenSampleDigest)
+                << "threads=" << threads << " chunk=" << chunk;
         }
     }
 }

@@ -3,8 +3,8 @@
  * Unit tests for the lemons::engine execution substrate: the
  * persistent thread pool (no thread creation after warmup), the
  * batched trial kernels (bit-equal to the per-device sampling path),
- * and the chunked runTrials driver (chunk-size invariance, early-stop
- * prefix identity, streaming/keepSamples agreement).
+ * and the chunked runTrials driver (chunk-size invariance,
+ * streaming/keepSamples agreement, interrupts and resume).
  */
 
 #include <gtest/gtest.h>
@@ -331,35 +331,10 @@ TEST(RunTrials, ChunkSizeDoesNotChangeSamples)
     }
 }
 
-TEST(RunTrials, EarlyStopReturnsExactPrefixOfFullRun)
-{
-    const McRunOptions fullOptions{.trials = 50000};
-    const std::vector<double> full =
-        runTrials(99, fullOptions, uniformMetric).samples;
-
-    const McRunOptions stopped{
-        .trials = 50000,
-        .chunkSize = 128,
-        .earlyStop = EarlyStop{.relHalfWidth = 0.05,
-                               .minTrials = 256,
-                               .checkEveryChunks = 2}};
-    const TrialReport report = runTrials(99, stopped, uniformMetric);
-    ASSERT_TRUE(report.stoppedEarly);
-    ASSERT_LT(report.trials, report.requestedTrials);
-    // The stop point is a wave boundary.
-    EXPECT_EQ(report.trials % (128 * 2), 0u);
-    ASSERT_EQ(report.samples.size(), report.trials);
-    for (size_t i = 0; i < report.samples.size(); ++i)
-        ASSERT_EQ(std::bit_cast<uint64_t>(report.samples[i]),
-                  std::bit_cast<uint64_t>(full[i]))
-            << "trial " << i;
-}
-
-TEST(RunTrials, EarlyStopDisabledRunsEveryTrial)
+TEST(RunTrials, RunsEveryRequestedTrial)
 {
     const McRunOptions options{.trials = 5000, .threads = 4};
     const TrialReport report = runTrials(7, options, uniformMetric);
-    EXPECT_FALSE(report.stoppedEarly);
     EXPECT_EQ(report.trials, 5000u);
     EXPECT_EQ(report.requestedTrials, 5000u);
     EXPECT_EQ(report.samples.size(), 5000u);
@@ -402,7 +377,6 @@ TEST(RunTrials, PreCancelledTokenReturnsEmptyPartialReport)
     EXPECT_TRUE(report.interrupted());
     EXPECT_EQ(report.trials, 0u);
     EXPECT_EQ(report.requestedTrials, 10000u);
-    EXPECT_FALSE(report.stoppedEarly);
 }
 
 TEST(RunTrials, ExpiredDeadlineReturnsPartialReport)
@@ -508,47 +482,6 @@ TEST(RunTrials, ResumeRequiresMatchingRunAndStreaming)
     options.keepSamples = true;
     EXPECT_THROW(static_cast<void>(runTrials(5, options, uniformMetric)),
                  std::invalid_argument);
-}
-
-TEST(RunTrials, EarlyStopCaptureKeepsLowestTrialError)
-{
-    // Satellite regression: when early stopping cuts a Capture-mode
-    // run short, the captured faults must still appear in the report
-    // and firstError must be the lowest-indexed failing trial's —
-    // regardless of thread interleaving.
-    const auto metric = [](Rng &rng, uint64_t trial) {
-        if (trial % 97 == 13)
-            throw std::runtime_error("fault at trial " +
-                                     std::to_string(trial));
-        return 5.0 + 0.01 * rng.nextDouble();
-    };
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        McRunOptions options;
-        options.trials = 200000;
-        options.threads = threads;
-        options.chunkSize = 64;
-        options.keepSamples = false;
-        options.faults = FaultPolicy::Capture;
-        options.earlyStop =
-            EarlyStop{.relHalfWidth = 0.05, .minTrials = 1024,
-                      .checkEveryChunks = 4};
-        const TrialReport report = runTrials(3, options, metric);
-        ASSERT_TRUE(report.stoppedEarly);
-        ASSERT_LT(report.trials, 200000u);
-        ASSERT_FALSE(report.failedTrials.empty());
-        EXPECT_TRUE(std::is_sorted(report.failedTrials.begin(),
-                                   report.failedTrials.end()));
-        // Every failing trial below the stop point is captured...
-        uint64_t expected = 0;
-        for (uint64_t trial = 0; trial < report.trials; ++trial)
-            if (trial % 97 == 13)
-                ++expected;
-        EXPECT_EQ(report.failedTrials.size(), expected);
-        // ...and the surfaced error is the lowest trial's (13).
-        EXPECT_EQ(report.failedTrials.front(), 13u);
-        EXPECT_EQ(report.firstError, "fault at trial 13");
-    }
 }
 
 TEST(ThreadPoolSubmit, RunsEveryTaskOffTheCallerThread)

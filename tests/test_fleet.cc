@@ -696,8 +696,8 @@ TEST(FleetSpecFile, FleetAndCohortSectionsParse)
 
 TEST(FleetSpecFile, CohortBeforeFleetIsASyntaxError)
 {
-    const lint::Report report =
-        lint::lintText("[cohort]\nname = orphan\nweight = 1\n", "f");
+    lint::Report report;
+    lint::parseSpec("[cohort]\nname = orphan\nweight = 1\n", "f", report);
     EXPECT_TRUE(report.hasCode(lint::Code::L902));
     EXPECT_TRUE(report.hasErrors());
 }

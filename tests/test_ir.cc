@@ -15,6 +15,7 @@
 #include "ir/graph.h"
 #include "ir/lower.h"
 #include "lint/spec_file.h"
+#include "verify/passes.h"
 
 namespace lemons {
 namespace {
@@ -169,6 +170,32 @@ TEST(IrLower, UpperBoundTargetSwapsResidualForCeiling)
     EXPECT_EQ(total.kind, Obligation::Kind::ExpectedTotal);
     EXPECT_TRUE(total.hasCeiling);
     EXPECT_DOUBLE_EQ(total.ceiling, 100000.0);
+}
+
+TEST(IrLower, GuessSpaceIsAnObligationTheVerifierSkips)
+{
+    core::DesignRequest request;
+    request.device = {10.0, 12.0};
+    request.legitimateAccessBound = 91250;
+    const core::Design design = core::DesignSolver(request).solve();
+    ASSERT_TRUE(design.feasible);
+
+    lint::DesignLintOptions options;
+    options.guessSpace = 1e6;
+    options.guessSuccessCeiling = 0.5;
+    const Graph graph = ir::lowerDesign(request, design, options);
+    ASSERT_EQ(graph.obligations().size(), 4u);
+    const Obligation &guess = graph.obligations().back();
+    EXPECT_EQ(guess.kind, Obligation::Kind::GuessSuccess);
+    EXPECT_EQ(graph.node(guess.target).kind, NodeKind::Replicate);
+    EXPECT_DOUBLE_EQ(guess.access, 1e6);
+    EXPECT_TRUE(guess.hasCeiling);
+    EXPECT_DOUBLE_EQ(guess.ceiling, 0.5);
+
+    // The analyzer discharges it; the verifier's verdict is unchanged.
+    EXPECT_EQ(verify::verifyGraph(graph).format(),
+              verify::verifyGraph(ir::lowerDesign(request, design))
+                  .format());
 }
 
 TEST(IrLower, StructureSeriesAndParallelShapes)

@@ -471,49 +471,72 @@ TEST(LintWiring, ValidConstructionStillWorks)
 
 TEST(LintSpecFile, CleanSpecYieldsNoDiagnostics)
 {
-    const Report report = lint::lintText("# comment\n"
-                                         "[design]\n"
-                                         "alpha = 10\n"
-                                         "beta = 12\n"
-                                         "lab = 91250\n"
-                                         "k_fraction = 0.2\n"
-                                         "guess_space = 1e6\n"
-                                         "\n"
-                                         "[fault]\n"
-                                         "stuck_closed_rate = 0.001\n",
-                                         "clean.lemons");
+    Report report;
+    lint::parseSpec("# comment\n"
+                    "[design]\n"
+                    "alpha = 10\n"
+                    "beta = 12\n"
+                    "lab = 91250\n"
+                    "k_fraction = 0.2\n"
+                    "guess_space = 1e6\n"
+                    "\n"
+                    "[fault]\n"
+                    "stuck_closed_rate = 0.001\n",
+                    "clean.lemons", report);
     EXPECT_TRUE(report.empty()) << report.format();
 }
 
 TEST(LintSpecFile, InvalidValuesFireRuleCodes)
 {
-    const Report report = lint::lintText("[design]\n"
-                                         "alpha = 10\n"
-                                         "beta = 12\n"
-                                         "lab = 91250\n"
-                                         "k_fraction = 1.5\n",
-                                         "bad.lemons");
+    Report report;
+    lint::parseSpec("[design]\n"
+                    "alpha = 10\n"
+                    "beta = 12\n"
+                    "lab = 91250\n"
+                    "k_fraction = 1.5\n",
+                    "bad.lemons", report);
     EXPECT_TRUE(firesError(report, Code::L004));
     EXPECT_EQ(report.diagnostics().front().file, "bad.lemons");
 }
 
 TEST(LintSpecFile, ParserProblemsAreDiagnostics)
 {
-    EXPECT_TRUE(firesError(lint::lintText("alpha = 10\n", "f"),
-                           Code::L902));
-    EXPECT_TRUE(firesError(lint::lintText("[nonsense]\nx = 1\n", "f"),
-                           Code::L903));
-    EXPECT_TRUE(
-        firesError(lint::lintText("[design]\nalpha = banana\n", "f"),
-                   Code::L905));
-    const Report unknown =
-        lint::lintText("[design]\nalpha = 10\nbeta = 12\nlab = 1\n"
-                       "frobnicate = 3\n",
-                       "f");
+    Report orphanKey;
+    lint::parseSpec("alpha = 10\n", "f", orphanKey);
+    EXPECT_TRUE(firesError(orphanKey, Code::L902));
+    Report unknownSection;
+    lint::parseSpec("[nonsense]\nx = 1\n", "f", unknownSection);
+    EXPECT_TRUE(firesError(unknownSection, Code::L903));
+    Report badValue;
+    lint::parseSpec("[design]\nalpha = banana\n", "f", badValue);
+    EXPECT_TRUE(firesError(badValue, Code::L905));
+    Report unknown;
+    lint::parseSpec("[design]\nalpha = 10\nbeta = 12\nlab = 1\n"
+                    "frobnicate = 3\n",
+                    "f", unknown);
     EXPECT_TRUE(unknown.hasCode(Code::L904));
     EXPECT_FALSE(unknown.hasErrors());
-    EXPECT_TRUE(lint::lintText("\n# only comments\n", "f")
-                    .hasCode(Code::L906));
+    Report empty;
+    lint::parseSpec("\n# only comments\n", "f", empty);
+    EXPECT_TRUE(empty.hasCode(Code::L906));
+}
+
+TEST(LintSpecFile, TextReportEscapesControlBytes)
+{
+    // A section name carrying ESC [2J reaches the L903 message; the
+    // text report must render it as \x1b instead of clearing the
+    // reader's terminal.
+    Report report;
+    lint::parseSpec("[\x1b[2Jevil]\nx = 1\n", "esc\x7f.lemons", report);
+    ASSERT_TRUE(firesError(report, Code::L903));
+    const std::string text = report.format();
+    EXPECT_EQ(text.find('\x1b'), std::string::npos) << text;
+    EXPECT_EQ(text.find('\x7f'), std::string::npos) << text;
+    EXPECT_NE(text.find("[\\x1b[2Jevil]"), std::string::npos) << text;
+    EXPECT_EQ(text.rfind("esc\\x7f.lemons: ", 0), 0u) << text;
+    // The diagnostic itself keeps the spec's bytes.
+    EXPECT_NE(report.diagnostics().front().message.find('\x1b'),
+              std::string::npos);
 }
 
 TEST(LintSpecFile, UnreadableFileIsL901)
@@ -527,39 +550,42 @@ TEST(LintSpecFile, UnreadableFileIsL901)
 
 TEST(LintSpecFile, WorkloadAndMixtureSectionsAreLinted)
 {
-    const Report clean = lint::lintText("[workload]\n"
-                                        "mean_per_day = 50\n"
-                                        "burst_probability = 0.01\n"
-                                        "burst_multiplier = 4\n"
-                                        "budget = 95000\n"
-                                        "horizon_days = 1825\n"
-                                        "[mixture]\n"
-                                        "infant_fraction = 0.02\n"
-                                        "infant_alpha = 1\n"
-                                        "infant_beta = 0.8\n"
-                                        "main_alpha = 10\n"
-                                        "main_beta = 12\n",
-                                        "f");
+    Report clean;
+    lint::parseSpec("[workload]\n"
+                    "mean_per_day = 50\n"
+                    "burst_probability = 0.01\n"
+                    "burst_multiplier = 4\n"
+                    "budget = 95000\n"
+                    "horizon_days = 1825\n"
+                    "[mixture]\n"
+                    "infant_fraction = 0.02\n"
+                    "infant_alpha = 1\n"
+                    "infant_beta = 0.8\n"
+                    "main_alpha = 10\n"
+                    "main_beta = 12\n",
+                    "f", clean);
     EXPECT_TRUE(clean.empty()) << clean.format();
 
-    const Report report = lint::lintText("[workload]\n"
-                                         "mean_per_day = 50\n"
-                                         "budget = 100\n"
-                                         "horizon_days = 365\n"
-                                         "[mixture]\n"
-                                         "infant_fraction = 2\n",
-                                         "f");
+    Report report;
+    lint::parseSpec("[workload]\n"
+                    "mean_per_day = 50\n"
+                    "budget = 100\n"
+                    "horizon_days = 365\n"
+                    "[mixture]\n"
+                    "infant_fraction = 2\n",
+                    "f", report);
     EXPECT_TRUE(report.hasCode(Code::L604));
     EXPECT_TRUE(firesError(report, Code::L701));
 }
 
 TEST(LintSpecFile, RepeatedSectionsLintIndependently)
 {
-    const Report report = lint::lintText("[fault]\n"
-                                         "stuck_closed_rate = 0.001\n"
-                                         "[fault]\n"
-                                         "stuck_closed_rate = 1.5\n",
-                                         "f");
+    Report report;
+    lint::parseSpec("[fault]\n"
+                    "stuck_closed_rate = 0.001\n"
+                    "[fault]\n"
+                    "stuck_closed_rate = 1.5\n",
+                    "f", report);
     EXPECT_TRUE(firesError(report, Code::L401));
     EXPECT_EQ(report.errorCount(), 1u);
 }
@@ -586,13 +612,14 @@ fleetText(const std::string &secondhandExtra)
 
 TEST(LintSpecFile, DroppedCohortReportsOnlyItsParseError)
 {
-    const Report clean = lint::lintText(fleetText(""), "f");
+    Report clean;
+    lint::parseSpec(fleetText(""), "f", clean);
     EXPECT_TRUE(clean.empty()) << clean.format();
 
     // The secondhand cohort fails to parse and is dropped; the
     // remaining 0.7 must not also read as an L805 partition error.
-    const Report report =
-        lint::lintText(fleetText("reprovision_day = nan\n"), "f");
+    Report report;
+    lint::parseSpec(fleetText("reprovision_day = nan\n"), "f", report);
     EXPECT_TRUE(firesError(report, Code::L905)) << report.format();
     EXPECT_FALSE(report.hasCode(Code::L805)) << report.format();
     EXPECT_EQ(report.errorCount(), 1u) << report.format();
@@ -602,14 +629,14 @@ TEST(LintSpecFile, DroppedCohortKeepsOtherFleetsWeightCheck)
 {
     // Only the fleet that lost a cohort skips L805: a later fleet
     // whose cohorts all parsed still reports its bad partition.
-    const Report report =
-        lint::lintText(fleetText("reprovision_day = nan\n") +
-                           "[fleet]\n"
-                           "devices = 10\n"
-                           "[cohort]\n"
-                           "name = half\n"
-                           "weight = 0.5\n",
-                       "f");
+    Report report;
+    lint::parseSpec(fleetText("reprovision_day = nan\n") +
+                    "[fleet]\n"
+                    "devices = 10\n"
+                    "[cohort]\n"
+                    "name = half\n"
+                    "weight = 0.5\n",
+                    "f", report);
     EXPECT_TRUE(firesError(report, Code::L905));
     EXPECT_TRUE(firesError(report, Code::L805)) << report.format();
     EXPECT_EQ(report.errorCount(), 2u) << report.format();
@@ -621,7 +648,8 @@ TEST(LintSpecFile, DroppedFleetTakesItsCohortsWithIt)
     // instead of each reading as a [cohort] before any [fleet].
     std::string text = fleetText("");
     text.replace(text.find("devices = 1000"), 14, "devices = ten");
-    const Report report = lint::lintText(text, "f");
+    Report report;
+    lint::parseSpec(text, "f", report);
     EXPECT_TRUE(firesError(report, Code::L905)) << report.format();
     EXPECT_FALSE(report.hasCode(Code::L902)) << report.format();
     EXPECT_EQ(report.errorCount(), 1u) << report.format();
@@ -632,18 +660,19 @@ TEST(LintSpecFile, DroppedFleetsCohortsDoNotJoinTheEarlierFleet)
     // The second fleet's weight-1 cohort must not attach to the first
     // fleet, whose own cohorts already sum to 1. A third fleet parses
     // again, so its cohort attaches and its bad partition still fires.
-    const Report report = lint::lintText(fleetText("") +
-                                             "[fleet]\n"
-                                             "devices = ten\n"
-                                             "[cohort]\n"
-                                             "name = all\n"
-                                             "weight = 1\n"
-                                             "[fleet]\n"
-                                             "devices = 10\n"
-                                             "[cohort]\n"
-                                             "name = half\n"
-                                             "weight = 0.5\n",
-                                         "f");
+    Report report;
+    lint::parseSpec(fleetText("") +
+                    "[fleet]\n"
+                    "devices = ten\n"
+                    "[cohort]\n"
+                    "name = all\n"
+                    "weight = 1\n"
+                    "[fleet]\n"
+                    "devices = 10\n"
+                    "[cohort]\n"
+                    "name = half\n"
+                    "weight = 0.5\n",
+                    "f", report);
     EXPECT_TRUE(firesError(report, Code::L905)) << report.format();
     EXPECT_TRUE(firesError(report, Code::L805)) << report.format();
     EXPECT_EQ(report.errorCount(), 2u) << report.format();
