@@ -2,8 +2,11 @@
 
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
+#include "lint/spec_file.h"
 #include "obs/json.h"
 
 namespace lemons::api {
@@ -141,6 +144,24 @@ class FieldReader
         out = parsed;
     }
 
+    /** Read @p row's member by its field type; types with no JSON form
+     *  stay unread, so rejectUnknown refuses them. */
+    void field(const lint::KeyRow &row)
+    {
+        std::visit(
+            [&](auto *out) {
+                using Field = std::remove_pointer_t<decltype(out)>;
+                if constexpr (std::is_same_v<Field, double>)
+                    number(row.key, *out);
+                else if constexpr (std::is_same_v<Field, uint64_t>)
+                    integer(row.key, *out);
+                else if constexpr (std::is_same_v<Field,
+                                                  std::optional<uint64_t>>)
+                    optionalInteger(row.key, *out);
+            },
+            row.field);
+    }
+
     /** S011 unless lo <= value <= hi. */
     void requireRange(std::string_view field, double actual, double lo,
                       double hi)
@@ -218,17 +239,8 @@ parseSolveRequest(const JsonValue &root, SolveRequest &out,
     SolveRequest decoded;
     core::DesignRequest &request = decoded.request;
     FieldReader fields(root, "SolveRequest", diagnostics);
-    fields.number("alpha", request.device.alpha);
-    fields.number("beta", request.device.beta);
-    fields.integer("lab", request.legitimateAccessBound);
-    fields.number("k_fraction", request.kFraction);
-    fields.number("min_reliability", request.criteria.minReliability);
-    fields.number("max_residual_reliability",
-                  request.criteria.maxResidualReliability);
-    fields.optionalInteger("upper_bound_target",
-                           request.upperBoundTarget);
-    fields.integer("max_width", request.maxWidth);
-    fields.integer("max_per_copy_bound", request.maxPerCopyBound);
+    for (const lint::KeyRow &row : lint::keyTable(request))
+        fields.field(row);
     fields.rejectUnknown();
     if (!fields.ok())
         return false;

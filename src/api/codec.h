@@ -56,7 +56,9 @@ bool parseBody(std::string_view body, JsonValue &out,
  * Decode a /v1/solve request ({alpha, beta, lab, k_fraction,
  * min_reliability, max_residual_reliability, upper_bound_target,
  * max_width, max_per_copy_bound} — all optional, solver defaults
- * apply). Returns false after appending S002/S011 findings.
+ * apply). The members are the [design] request keys of
+ * lint::keyTable(core::DesignRequest &), read by the same rows.
+ * Returns false after appending S002/S011 findings.
  */
 bool parseSolveRequest(const JsonValue &root, SolveRequest &out,
                        lint::Report &diagnostics);

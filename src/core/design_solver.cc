@@ -61,11 +61,9 @@ DesignSolver::expectedOvershoot(uint64_t n, uint64_t k, uint64_t t) const
     // A width-n structure dies once the per-device reliability falls to
     // ~k/n (encoded) or ~1/n (plain parallel); bound the scan there
     // with generous margin.
-    const double logWidth = std::log(static_cast<double>(n) + 2.0);
-    const double deathScale =
-        spec.device.alpha *
-        std::pow(std::max(1.0, logWidth + 5.0), 1.0 / spec.device.beta);
-    const auto cap = static_cast<uint64_t>(4.0 * deathScale) + t + 64;
+    const auto cap = static_cast<uint64_t>(overshootReach(
+                         spec.device, static_cast<double>(n))) +
+                     t + 64;
 
     const arch::ParallelStructure copy = copyStructure(spec.device, n, k);
     double overshoot = 0.0;

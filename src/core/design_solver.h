@@ -22,6 +22,8 @@
 #ifndef LEMONS_CORE_DESIGN_SOLVER_H_
 #define LEMONS_CORE_DESIGN_SOLVER_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 
@@ -74,6 +76,20 @@ struct DesignRequest
     /** Cap on the per-copy access bound t; 0 = auto (~3 alpha + 16). */
     uint64_t maxPerCopyBound = 0;
 };
+
+/**
+ * How far past t DesignSolver::expectedOvershoot sums R(j) for a
+ * width-n copy of @p device, less a fixed 64-access margin: four times
+ * the access where the per-device reliability falls to about 1/n.
+ * lint::designSolveWork bounds a solve's cost with it.
+ */
+inline double
+overshootReach(const wearout::DeviceSpec &device, double width)
+{
+    return 4.0 * device.alpha *
+           std::pow(std::max(1.0, std::log(width + 2.0) + 5.0),
+                    1.0 / device.beta);
+}
 
 /** Solver output: the chosen architecture. */
 struct Design

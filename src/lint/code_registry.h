@@ -224,7 +224,9 @@
     X(S011, "S011", Error, "request field value out of range")              \
     X(S012, "S012", Error, "internal error while handling the request")      \
     X(L813, "L813", Warning, "provisioning stagger reaches the horizon: "    \
-                             "late entrants serve no days")
+                             "late entrants serve no days")                  \
+    X(L907, "L907", Error, "spec key repeated within one section")           \
+    X(L015, "L015", Error, "design solve exceeds the solver work limit")
 // clang-format on
 
 #endif // LEMONS_LINT_CODE_REGISTRY_H_

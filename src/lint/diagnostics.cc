@@ -81,13 +81,6 @@ codeInfo(Code code)
     return codeCatalog()[static_cast<size_t>(code)];
 }
 
-namespace {
-
-/**
- * @p text with C0 control bytes and DEL written as \xNN: spec bytes
- * reach the text report verbatim otherwise, and an ESC among them
- * would drive the reader's terminal.
- */
 std::string
 printable(std::string_view text)
 {
@@ -102,8 +95,6 @@ printable(std::string_view text)
     }
     return out;
 }
-
-} // namespace
 
 std::string
 Diagnostic::format() const

@@ -52,6 +52,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/code_registry.h"
@@ -94,6 +95,13 @@ const CodeInfo &codeInfo(Code code);
 
 /** The full append-only catalog, in code order (for --codes / docs). */
 const std::vector<CodeInfo> &codeCatalog();
+
+/**
+ * @p text with C0 control bytes and DEL written as \xNN: spec bytes
+ * and file names reach the text report verbatim otherwise, and an ESC
+ * among them would drive the reader's terminal.
+ */
+std::string printable(std::string_view text);
 
 /** One finding. */
 struct Diagnostic

@@ -192,7 +192,8 @@ main(int argc, char **argv)
         }
         if (!quiet && !report.empty())
             std::cout << report.format();
-        std::cout << file << ": " << report.errorCount() << " error(s), "
+        std::cout << lemons::lint::printable(file) << ": "
+                  << report.errorCount() << " error(s), "
                   << report.warningCount() << " warning(s)\n";
     }
     if (json)

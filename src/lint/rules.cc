@@ -1,5 +1,6 @@
 #include "lint/rules.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -53,6 +54,21 @@ constexpr double minPlausibleAlpha = 1.0;
 constexpr double maxPlausibleAlpha = 1e9;
 
 } // namespace
+
+double
+designSolveWork(const core::DesignRequest &request)
+{
+    const double maxBound =
+        request.maxPerCopyBound != 0
+            ? static_cast<double>(request.maxPerCopyBound)
+            : std::ceil(3.0 * request.device.alpha) + 16.0;
+    const double steps = std::min(
+        maxBound, static_cast<double>(request.legitimateAccessBound));
+    if (!request.upperBoundTarget)
+        return steps;
+    const double width = static_cast<double>(request.maxWidth);
+    return steps * (core::overshootReach(request.device, width) + 64.0);
+}
 
 Report
 checkDesign(const core::DesignRequest &request,
@@ -127,6 +143,16 @@ checkDesign(const core::DesignRequest &request,
     }
     if (report.hasErrors())
         return report;
+    const double work = designSolveWork(request);
+    if (!(work <= kMaxDesignSolveWork)) {
+        report.add(Code::L015, object, "maxPerCopyBound",
+                   "solving takes about " + num(work) +
+                       " scan steps, past the limit of " +
+                       num(kMaxDesignSolveWork),
+                   "set max_per_copy_bound to narrow the scan, lower "
+                   "the LAB, or drop upper_bound_target");
+        return report;
+    }
 
     // Security-feasibility warnings (only meaningful on a sane spec).
     if (options.guessSpace) {
@@ -710,7 +736,8 @@ checkDesignOrThrow(const core::DesignRequest &request)
         criteria.maxResidualReliability < criteria.minReliability &&
         (!request.upperBoundTarget ||
          *request.upperBoundTarget > request.legitimateAccessBound) &&
-        request.maxWidth >= 1;
+        request.maxWidth >= 1 &&
+        designSolveWork(request) <= kMaxDesignSolveWork;
     if (!clean)
         throwOnErrors(checkDesign(request));
 }

@@ -177,6 +177,21 @@ struct FleetSpec
     std::vector<FleetCohortSpec> cohorts;
 };
 
+/**
+ * Most designSolveWork a solve may take (L015; the solver constructor
+ * checks it too). On a 4-vCPU AVX2 host (GCC 12.2, Release) a solve at
+ * the limit takes at most ~0.15 s, or with an upper-bound target ~0.3 s
+ * (0.55 s at max_width 1e18). Shipped inputs stay below 1e4.
+ */
+inline constexpr double kMaxDesignSolveWork = 1e6;
+
+/**
+ * The per-copy bounds solve() scans, min(maxPerCopyBound or 3 alpha +
+ * 16, LAB), times, under an upper-bound target, the accesses each
+ * overshoot sum may visit. Meaningful for positive, finite alpha, beta.
+ */
+double designSolveWork(const core::DesignRequest &request);
+
 /** L0xx: solver input rules (bounds, criteria, attack feasibility). */
 Report checkDesign(const core::DesignRequest &request,
                    const DesignLintOptions &options = {});

@@ -1,13 +1,14 @@
 #include "lint/spec_file.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "lint/rules.h"
@@ -115,10 +116,16 @@ parseSections(std::string_view text, Report &report)
     return sections;
 }
 
-/** Parse a full-consumption floating-point literal; L905 otherwise. */
+/*
+ * readValue parses one entry's value into a field, overloaded on the
+ * field's type; a value that does not parse is L905 and leaves the
+ * field untouched.
+ */
+
+/** A full-consumption, finite floating-point literal. */
 bool
-parseDouble(const Entry &entry, const std::string &object, Report &report,
-            double &out)
+readValue(const Entry &entry, const std::string &object, Report &report,
+          double &out)
 {
     const char *begin = entry.value.c_str();
     char *end = nullptr;
@@ -133,13 +140,13 @@ parseDouble(const Entry &entry, const std::string &object, Report &report,
     return true;
 }
 
-/** Parse a non-negative integer (scientific notation welcome). */
+/** A non-negative integer (scientific notation welcome). */
 bool
-parseUint(const Entry &entry, const std::string &object, Report &report,
+readValue(const Entry &entry, const std::string &object, Report &report,
           uint64_t &out)
 {
     double value = 0.0;
-    if (!parseDouble(entry, object, report, value))
+    if (!readValue(entry, object, report, value))
         return false;
     if (value < 0.0 || value > 1.8e19 ||
         value != std::floor(value)) {
@@ -152,410 +159,286 @@ parseUint(const Entry &entry, const std::string &object, Report &report,
     return true;
 }
 
-void
-unknownKey(const Entry &entry, const std::string &object, Report &report)
+/** A non-negative integer clamped at 2^16 (a bit width or height). */
+bool
+readValue(const Entry &entry, const std::string &object, Report &report,
+          unsigned &out)
 {
-    report.add(Code::L904, object, entry.key,
-               lineRef(entry.line) + ": key '" + entry.key +
-                   "' is not recognised in " + object,
-               "see the section/key table in lint/spec_file.h");
+    uint64_t value = 0;
+    if (!readValue(entry, object, report, value))
+        return false;
+    out = static_cast<unsigned>(std::min<uint64_t>(value, 1u << 16));
+    return true;
 }
 
-/*
- * Each parse*Section consumes one [section], appending parse
- * diagnostics and then rule diagnostics to its report. Sections whose
- * values parsed (no L905/L904-escalated errors) are appended to the
- * ParsedSpec even when rule checks fail, so the verifier can analyse
- * rule-questionable but well-formed designs.
+bool
+readValue(const Entry &entry, const std::string & /*object*/,
+          Report & /*report*/, std::string &out)
+{
+    out = entry.value;
+    return true;
+}
+
+bool
+readValue(const Entry &entry, const std::string &object, Report &report,
+          StructureSpec::Kind &out)
+{
+    if (entry.value == "series") {
+        out = StructureSpec::Kind::Series;
+    } else if (entry.value == "parallel") {
+        out = StructureSpec::Kind::Parallel;
+    } else {
+        report.add(Code::L905, object, entry.key,
+                   lineRef(entry.line) + ": " + entry.key +
+                       " must be 'series' or 'parallel', got '" +
+                       entry.value + "'");
+        return false;
+    }
+    return true;
+}
+
+template <class T>
+bool
+readValue(const Entry &entry, const std::string &object, Report &report,
+          std::optional<T> &out)
+{
+    T value{};
+    if (!readValue(entry, object, report, value))
+        return false;
+    out = value;
+    return true;
+}
+
+/**
+ * Read one [section] into a fresh Spec through its key table, then
+ * run @p rules over it. A section whose values all parsed is appended
+ * to @p into even when its rules fail, so the verifier can analyse a
+ * rule-questionable but well-formed section.
  */
-
+template <class Spec, class Rules>
 Report
-parseDesignSection(const Section &section, ParsedSpec &spec)
+readSection(const Section &section, std::vector<Spec> &into, Rules rules)
 {
     Report report;
-    const std::string object = "[design]";
-    DesignSection design;
+    const std::string object = "[" + section.name + "]";
+    Spec spec;
+    const std::vector<KeyRow> table = keyTable(spec);
+    std::vector<const Entry *> seen(table.size(), nullptr);
     for (const Entry &entry : section.entries) {
-        if (entry.key == "alpha") {
-            parseDouble(entry, object, report,
-                        design.request.device.alpha);
-        } else if (entry.key == "beta") {
-            parseDouble(entry, object, report,
-                        design.request.device.beta);
-        } else if (entry.key == "lab") {
-            parseUint(entry, object, report,
-                      design.request.legitimateAccessBound);
-        } else if (entry.key == "k_fraction") {
-            parseDouble(entry, object, report, design.request.kFraction);
-        } else if (entry.key == "min_reliability") {
-            parseDouble(entry, object, report,
-                        design.request.criteria.minReliability);
-        } else if (entry.key == "max_residual_reliability") {
-            parseDouble(entry, object, report,
-                        design.request.criteria.maxResidualReliability);
-        } else if (entry.key == "upper_bound_target") {
-            uint64_t target = 0;
-            if (parseUint(entry, object, report, target))
-                design.request.upperBoundTarget = target;
-        } else if (entry.key == "guess_space") {
-            double space = 0.0;
-            if (parseDouble(entry, object, report, space))
-                design.options.guessSpace = space;
-        } else if (entry.key == "guess_success_ceiling") {
-            double ceiling = 0.0;
-            if (parseDouble(entry, object, report, ceiling))
-                design.options.guessSuccessCeiling = ceiling;
-        } else if (entry.key == "max_width") {
-            parseUint(entry, object, report, design.request.maxWidth);
-        } else if (entry.key == "max_per_copy_bound") {
-            parseUint(entry, object, report,
-                      design.request.maxPerCopyBound);
-        } else {
-            unknownKey(entry, object, report);
+        const auto row =
+            std::find_if(table.begin(), table.end(),
+                         [&](const KeyRow &r) { return r.key == entry.key; });
+        if (row == table.end()) {
+            report.add(Code::L904, object, entry.key,
+                       lineRef(entry.line) + ": key '" + entry.key +
+                           "' is not recognised in " + object,
+                       "see the section/key table in lint/spec_file.h");
+            continue;
         }
+        const Entry *&first = seen[static_cast<size_t>(row - table.begin())];
+        if (first != nullptr) {
+            report.add(Code::L907, object, entry.key,
+                       lineRef(entry.line) + ": key '" + entry.key +
+                           "' repeats " + lineRef(first->line) +
+                           " of the same " + object + " section",
+                       "give each key once per section");
+            continue;
+        }
+        first = &entry;
+        std::visit(
+            [&](auto *field) { readValue(entry, object, report, *field); },
+            row->field);
     }
     if (report.hasErrors())
         return report;
-    report.merge(checkDesign(design.request, design.options));
-    spec.designs.push_back(design);
+    report.merge(rules(spec));
+    into.push_back(std::move(spec));
     return report;
 }
 
-Report
-parseStructureSection(const Section &section, ParsedSpec &parsed)
+/** The [workload] keys a [cohort] shares: its daily usage profile. */
+std::vector<KeyRow>
+usageProfileTable(WorkloadSpec &spec)
 {
-    Report report;
-    const std::string object = "[structure]";
-    StructureSpec spec;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "kind") {
-            if (entry.value == "series") {
-                spec.kind = StructureSpec::Kind::Series;
-            } else if (entry.value == "parallel") {
-                spec.kind = StructureSpec::Kind::Parallel;
-            } else {
-                report.add(Code::L905, object, entry.key,
-                           lineRef(entry.line) + ": kind must be "
-                           "'series' or 'parallel', got '" +
-                               entry.value + "'");
-            }
-        } else if (entry.key == "n") {
-            parseUint(entry, object, report, spec.n);
-        } else if (entry.key == "k") {
-            parseUint(entry, object, report, spec.k);
-        } else if (entry.key == "alpha") {
-            parseDouble(entry, object, report, spec.device.alpha);
-        } else if (entry.key == "beta") {
-            parseDouble(entry, object, report, spec.device.beta);
-        } else if (entry.key == "access_bound") {
-            uint64_t bound = 0;
-            if (parseUint(entry, object, report, bound))
-                spec.accessBound = bound;
-        } else if (entry.key == "copies") {
-            uint64_t copies = 0;
-            if (parseUint(entry, object, report, copies))
-                spec.copies = copies;
-        } else if (entry.key == "min_reliability") {
-            double floor = 0.0;
-            if (parseDouble(entry, object, report, floor))
-                spec.minReliability = floor;
-        } else if (entry.key == "max_residual") {
-            double ceiling = 0.0;
-            if (parseDouble(entry, object, report, ceiling))
-                spec.maxResidual = ceiling;
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkStructure(spec));
-    parsed.structures.push_back(spec);
-    return report;
+    return {{"mean_per_day", &spec.meanPerDay},
+            {"burst_probability", &spec.burstProbability},
+            {"burst_multiplier", &spec.burstMultiplier}};
+}
+
+void
+append(std::vector<KeyRow> &rows, const std::vector<KeyRow> &more)
+{
+    rows.insert(rows.end(), more.begin(), more.end());
+}
+
+/* The after-parse step of each section: its rule pass. */
+
+Report
+checkDesignSection(const DesignSection &design)
+{
+    return checkDesign(design.request, design.options);
 }
 
 Report
-parseSharesSection(const Section &section, ParsedSpec &parsed)
+checkOtpSection(const OtpSection &otp)
 {
-    Report report;
-    const std::string object = "[shares]";
-    ShareSpec spec;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "n") {
-            parseUint(entry, object, report, spec.shares);
-        } else if (entry.key == "k") {
-            parseUint(entry, object, report, spec.threshold);
-        } else if (entry.key == "field_bits") {
-            uint64_t bits = 0;
-            if (parseUint(entry, object, report, bits))
-                spec.fieldBits = static_cast<unsigned>(
-                    std::min<uint64_t>(bits, 1u << 16));
-        } else if (entry.key == "unguarded") {
-            parseUint(entry, object, report, spec.unguarded);
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkShares(spec));
-    parsed.shares.push_back(spec);
-    return report;
+    return checkOtp(otp.params);
 }
 
+/** [fleet] and [cohort]: checkFleet runs once the file is parsed. */
 Report
-parseOtpSection(const Section &section, ParsedSpec &parsed)
+noRules(const auto & /*spec*/)
 {
-    Report report;
-    const std::string object = "[otp]";
-    OtpSection otp;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "height") {
-            uint64_t height = 0;
-            if (parseUint(entry, object, report, height))
-                otp.params.height = static_cast<unsigned>(
-                    std::min<uint64_t>(height, 1u << 16));
-        } else if (entry.key == "copies") {
-            parseUint(entry, object, report, otp.params.copies);
-        } else if (entry.key == "threshold") {
-            parseUint(entry, object, report, otp.params.threshold);
-        } else if (entry.key == "alpha") {
-            parseDouble(entry, object, report, otp.params.device.alpha);
-        } else if (entry.key == "beta") {
-            parseDouble(entry, object, report, otp.params.device.beta);
-        } else if (entry.key == "receiver_floor") {
-            double floor = 0.0;
-            if (parseDouble(entry, object, report, floor))
-                otp.receiverFloor = floor;
-        } else if (entry.key == "adversary_ceiling") {
-            double ceiling = 0.0;
-            if (parseDouble(entry, object, report, ceiling))
-                otp.adversaryCeiling = ceiling;
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkOtp(otp.params));
-    parsed.otps.push_back(otp);
-    return report;
+    return {};
 }
 
+/** Read a section into the ParsedSpec vector @p Into, then run @p Rules. */
+template <auto Into, auto Rules>
 Report
-parseFaultSection(const Section &section, ParsedSpec &parsed)
+readInto(const Section &section, ParsedSpec &spec)
 {
-    Report report;
-    const std::string object = "[fault]";
-    fault::FaultPlan plan;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "stuck_closed_rate") {
-            parseDouble(entry, object, report, plan.stuckClosedRate);
-        } else if (entry.key == "infant_fraction") {
-            parseDouble(entry, object, report, plan.infantFraction);
-        } else if (entry.key == "infant_scale_fraction") {
-            parseDouble(entry, object, report, plan.infantScaleFraction);
-        } else if (entry.key == "infant_shape") {
-            parseDouble(entry, object, report, plan.infantShape);
-        } else if (entry.key == "glitch_rate") {
-            parseDouble(entry, object, report, plan.glitchRate);
-        } else if (entry.key == "alpha_drift_sigma") {
-            parseDouble(entry, object, report, plan.alphaDriftSigma);
-        } else if (entry.key == "beta_drift_sigma") {
-            parseDouble(entry, object, report, plan.betaDriftSigma);
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkFaultPlan(plan));
-    parsed.faults.push_back(plan);
-    return report;
+    return readSection(section, spec.*Into, Rules);
 }
 
+/** A [cohort] joins the latest [fleet]; before any, it is L902. */
 Report
-parseMwaySection(const Section &section, ParsedSpec &parsed)
+readCohort(const Section &section, ParsedSpec &spec)
 {
+    if (!spec.fleets.empty())
+        return readSection(section, spec.fleets.back().cohorts,
+                           noRules<FleetCohortSpec>);
     Report report;
-    const std::string object = "[mway]";
-    MwaySpec spec;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "m") {
-            parseUint(entry, object, report, spec.m);
-        } else if (entry.key == "module_devices") {
-            uint64_t devices = 0;
-            if (parseUint(entry, object, report, devices))
-                spec.moduleDevices = devices;
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkMway(spec));
-    parsed.mways.push_back(spec);
-    return report;
-}
-
-Report
-parseWorkloadSection(const Section &section, ParsedSpec &parsed)
-{
-    Report report;
-    const std::string object = "[workload]";
-    WorkloadSpec spec;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "mean_per_day") {
-            parseDouble(entry, object, report, spec.meanPerDay);
-        } else if (entry.key == "burst_probability") {
-            parseDouble(entry, object, report, spec.burstProbability);
-        } else if (entry.key == "burst_multiplier") {
-            parseDouble(entry, object, report, spec.burstMultiplier);
-        } else if (entry.key == "budget") {
-            uint64_t budget = 0;
-            if (parseUint(entry, object, report, budget))
-                spec.budgetAccesses = budget;
-        } else if (entry.key == "horizon_days") {
-            uint64_t horizon = 0;
-            if (parseUint(entry, object, report, horizon))
-                spec.horizonDays = horizon;
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkWorkload(spec));
-    parsed.workloads.push_back(spec);
-    return report;
-}
-
-Report
-parseMixtureSection(const Section &section, ParsedSpec &parsed)
-{
-    Report report;
-    const std::string object = "[mixture]";
-    MixtureSpec spec;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "infant_fraction") {
-            parseDouble(entry, object, report, spec.infantFraction);
-        } else if (entry.key == "infant_alpha") {
-            parseDouble(entry, object, report, spec.infant.alpha);
-        } else if (entry.key == "infant_beta") {
-            parseDouble(entry, object, report, spec.infant.beta);
-        } else if (entry.key == "main_alpha") {
-            parseDouble(entry, object, report, spec.main.alpha);
-        } else if (entry.key == "main_beta") {
-            parseDouble(entry, object, report, spec.main.beta);
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    report.merge(checkMixture(spec));
-    parsed.mixtures.push_back(spec);
-    return report;
-}
-
-Report
-parseFleetSection(const Section &section, ParsedSpec &parsed)
-{
-    Report report;
-    const std::string object = "[fleet]";
-    FleetSpec spec;
-    spec.cohorts.clear(); // cohorts come from [cohort] sections
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "devices") {
-            parseUint(entry, object, report, spec.devices);
-        } else if (entry.key == "seed") {
-            parseUint(entry, object, report, spec.seed);
-        } else if (entry.key == "chunk_size") {
-            parseUint(entry, object, report, spec.chunkSize);
-        } else if (entry.key == "checkpoint_interval") {
-            parseUint(entry, object, report,
-                      spec.checkpointEveryChunks);
-        } else if (entry.key == "horizon_days") {
-            parseUint(entry, object, report, spec.horizonDays);
-        } else if (entry.key == "premature_days") {
-            parseUint(entry, object, report, spec.prematureDays);
-        } else if (entry.key == "premature_tolerance") {
-            double tolerance = 0.0;
-            if (parseDouble(entry, object, report, tolerance))
-                spec.prematureTolerance = tolerance;
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    // Cross-cohort rules (checkFleet) run after the whole file has
-    // been parsed; see parseSpec.
-    parsed.fleets.push_back(std::move(spec));
-    return report;
-}
-
-Report
-parseCohortSection(const Section &section, ParsedSpec &parsed)
-{
-    Report report;
-    const std::string object = "[cohort]";
-    if (parsed.fleets.empty()) {
-        report.add(Code::L902, "spec", "",
-                   lineRef(section.line) + ": [cohort] before any "
-                   "[fleet] section",
-                   "declare the [fleet] the cohort belongs to first");
-        return report;
-    }
-    FleetCohortSpec spec;
-    for (const Entry &entry : section.entries) {
-        if (entry.key == "name") {
-            spec.name = entry.value;
-        } else if (entry.key == "weight") {
-            parseDouble(entry, object, report, spec.weight);
-        } else if (entry.key == "stagger_days") {
-            parseDouble(entry, object, report, spec.staggerDays);
-        } else if (entry.key == "access_bound") {
-            parseUint(entry, object, report, spec.accessBound);
-        } else if (entry.key == "mean_per_day") {
-            parseDouble(entry, object, report, spec.usage.meanPerDay);
-        } else if (entry.key == "burst_probability") {
-            parseDouble(entry, object, report,
-                        spec.usage.burstProbability);
-        } else if (entry.key == "burst_multiplier") {
-            parseDouble(entry, object, report,
-                        spec.usage.burstMultiplier);
-        } else if (entry.key == "infant_fraction") {
-            parseDouble(entry, object, report,
-                        spec.lifetime.infantFraction);
-        } else if (entry.key == "infant_alpha") {
-            parseDouble(entry, object, report,
-                        spec.lifetime.infant.alpha);
-        } else if (entry.key == "infant_beta") {
-            parseDouble(entry, object, report,
-                        spec.lifetime.infant.beta);
-        } else if (entry.key == "main_alpha") {
-            parseDouble(entry, object, report, spec.lifetime.main.alpha);
-        } else if (entry.key == "main_beta") {
-            parseDouble(entry, object, report, spec.lifetime.main.beta);
-        } else if (entry.key == "reprovision_day") {
-            double day = 0.0;
-            if (parseDouble(entry, object, report, day))
-                spec.reprovisionDay = day;
-        } else if (entry.key == "reprovision_scale") {
-            parseDouble(entry, object, report,
-                        spec.reprovisionUsageScale);
-        } else {
-            unknownKey(entry, object, report);
-        }
-    }
-    if (report.hasErrors())
-        return report;
-    parsed.fleets.back().cohorts.push_back(std::move(spec));
+    report.add(Code::L902, "spec", "",
+               lineRef(section.line) + ": [cohort] before any [fleet] "
+               "section",
+               "declare the [fleet] the cohort belongs to first");
     return report;
 }
 
 } // namespace
+
+std::vector<KeyRow>
+keyTable(core::DesignRequest &spec)
+{
+    return {{"alpha", &spec.device.alpha},
+            {"beta", &spec.device.beta},
+            {"lab", &spec.legitimateAccessBound},
+            {"k_fraction", &spec.kFraction},
+            {"min_reliability", &spec.criteria.minReliability},
+            {"max_residual_reliability",
+             &spec.criteria.maxResidualReliability},
+            {"upper_bound_target", &spec.upperBoundTarget},
+            {"max_width", &spec.maxWidth},
+            {"max_per_copy_bound", &spec.maxPerCopyBound}};
+}
+
+std::vector<KeyRow>
+keyTable(DesignSection &spec)
+{
+    std::vector<KeyRow> rows = keyTable(spec.request);
+    append(rows, {{"guess_space", &spec.options.guessSpace},
+                  {"guess_success_ceiling",
+                   &spec.options.guessSuccessCeiling}});
+    return rows;
+}
+
+std::vector<KeyRow>
+keyTable(StructureSpec &spec)
+{
+    return {{"kind", &spec.kind},
+            {"n", &spec.n},
+            {"k", &spec.k},
+            {"alpha", &spec.device.alpha},
+            {"beta", &spec.device.beta},
+            {"access_bound", &spec.accessBound},
+            {"copies", &spec.copies},
+            {"min_reliability", &spec.minReliability},
+            {"max_residual", &spec.maxResidual}};
+}
+
+std::vector<KeyRow>
+keyTable(ShareSpec &spec)
+{
+    return {{"n", &spec.shares},
+            {"k", &spec.threshold},
+            {"field_bits", &spec.fieldBits},
+            {"unguarded", &spec.unguarded}};
+}
+
+std::vector<KeyRow>
+keyTable(OtpSection &spec)
+{
+    return {{"height", &spec.params.height},
+            {"copies", &spec.params.copies},
+            {"threshold", &spec.params.threshold},
+            {"alpha", &spec.params.device.alpha},
+            {"beta", &spec.params.device.beta},
+            {"receiver_floor", &spec.receiverFloor},
+            {"adversary_ceiling", &spec.adversaryCeiling}};
+}
+
+std::vector<KeyRow>
+keyTable(fault::FaultPlan &spec)
+{
+    return {{"stuck_closed_rate", &spec.stuckClosedRate},
+            {"infant_fraction", &spec.infantFraction},
+            {"infant_scale_fraction", &spec.infantScaleFraction},
+            {"infant_shape", &spec.infantShape},
+            {"glitch_rate", &spec.glitchRate},
+            {"alpha_drift_sigma", &spec.alphaDriftSigma},
+            {"beta_drift_sigma", &spec.betaDriftSigma}};
+}
+
+std::vector<KeyRow>
+keyTable(MwaySpec &spec)
+{
+    return {{"m", &spec.m}, {"module_devices", &spec.moduleDevices}};
+}
+
+std::vector<KeyRow>
+keyTable(WorkloadSpec &spec)
+{
+    std::vector<KeyRow> rows = usageProfileTable(spec);
+    append(rows, {{"budget", &spec.budgetAccesses},
+                  {"horizon_days", &spec.horizonDays}});
+    return rows;
+}
+
+std::vector<KeyRow>
+keyTable(MixtureSpec &spec)
+{
+    return {{"infant_fraction", &spec.infantFraction},
+            {"infant_alpha", &spec.infant.alpha},
+            {"infant_beta", &spec.infant.beta},
+            {"main_alpha", &spec.main.alpha},
+            {"main_beta", &spec.main.beta}};
+}
+
+std::vector<KeyRow>
+keyTable(FleetSpec &spec)
+{
+    return {{"devices", &spec.devices},
+            {"seed", &spec.seed},
+            {"chunk_size", &spec.chunkSize},
+            {"checkpoint_interval", &spec.checkpointEveryChunks},
+            {"horizon_days", &spec.horizonDays},
+            {"premature_days", &spec.prematureDays},
+            {"premature_tolerance", &spec.prematureTolerance}};
+}
+
+std::vector<KeyRow>
+keyTable(FleetCohortSpec &spec)
+{
+    std::vector<KeyRow> rows = {{"name", &spec.name},
+                                {"weight", &spec.weight},
+                                {"stagger_days", &spec.staggerDays},
+                                {"access_bound", &spec.accessBound}};
+    append(rows, usageProfileTable(spec.usage));
+    append(rows, keyTable(spec.lifetime));
+    append(rows, {{"reprovision_day", &spec.reprovisionDay},
+                  {"reprovision_scale", &spec.reprovisionUsageScale}});
+    return rows;
+}
 
 ParsedSpec
 parseSpec(std::string_view text, const std::string &filename,
@@ -573,22 +456,24 @@ parseSpec(std::string_view text, const std::string &filename,
     }
     std::vector<bool> fleetLostCohort;
     bool fleetDropped = false;
-    using Dispatcher = Report (*)(const Section &, ParsedSpec &);
-    static const std::map<std::string, Dispatcher> dispatch = {
-        {"design", &parseDesignSection},
-        {"structure", &parseStructureSection},
-        {"shares", &parseSharesSection},
-        {"otp", &parseOtpSection},
-        {"fault", &parseFaultSection},
-        {"mway", &parseMwaySection},
-        {"workload", &parseWorkloadSection},
-        {"mixture", &parseMixtureSection},
-        {"fleet", &parseFleetSection},
-        {"cohort", &parseCohortSection},
+    using SectionReader = Report (*)(const Section &, ParsedSpec &);
+    // Each section's reader: its rule pass and the ParsedSpec vector
+    // it joins.
+    static const std::map<std::string, SectionReader> sectionTable = {
+        {"design", &readInto<&ParsedSpec::designs, checkDesignSection>},
+        {"structure", &readInto<&ParsedSpec::structures, checkStructure>},
+        {"shares", &readInto<&ParsedSpec::shares, checkShares>},
+        {"otp", &readInto<&ParsedSpec::otps, checkOtpSection>},
+        {"fault", &readInto<&ParsedSpec::faults, checkFaultPlan>},
+        {"mway", &readInto<&ParsedSpec::mways, checkMway>},
+        {"workload", &readInto<&ParsedSpec::workloads, checkWorkload>},
+        {"mixture", &readInto<&ParsedSpec::mixtures, checkMixture>},
+        {"fleet", &readInto<&ParsedSpec::fleets, noRules<FleetSpec>>},
+        {"cohort", &readCohort},
     };
     for (const Section &section : sections) {
-        const auto found = dispatch.find(section.name);
-        if (found == dispatch.end()) {
+        const auto found = sectionTable.find(section.name);
+        if (found == sectionTable.end()) {
             local.add(Code::L903, "spec", "",
                       lineRef(section.line) + ": unknown section [" +
                           section.name + "]",

@@ -51,6 +51,10 @@
  * the fleet's cross-cohort rules (L8xx) run once the whole file is
  * parsed, so weight-sum checks see every cohort.
  *
+ * One reader serves every section through its key table (keyTable
+ * below), so an unknown key is L904, a bad value L905 and a key given
+ * twice in one section L907 everywhere.
+ *
  * Beyond linting, parseSpec() exposes the parsed sections as typed
  * structs so the static verifier (lemons::verify) can lower the same
  * file into the architecture IR without re-implementing the parser.
@@ -59,9 +63,11 @@
 #ifndef LEMONS_LINT_SPEC_FILE_H_
 #define LEMONS_LINT_SPEC_FILE_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/decision_tree.h"
@@ -114,6 +120,40 @@ struct ParsedSpec
                workloads.empty() && mixtures.empty() && fleets.empty();
     }
 };
+
+/**
+ * The field one spec key writes; its type picks the value parser.
+ * unsigned is an integer clamped at 2^16, std::string the value as is.
+ */
+using KeyField =
+    std::variant<double *, uint64_t *, std::optional<double> *,
+                 std::optional<uint64_t> *, unsigned *, std::string *,
+                 StructureSpec::Kind *>;
+
+/** One row of a section's key table: a key and the field it writes. */
+struct KeyRow
+{
+    std::string_view key;
+    KeyField field;
+};
+
+/**
+ * Each section's key table, bound to the fields of @p spec. The nine
+ * solver-request rows (core::DesignRequest) also decode POST /v1/solve;
+ * [design] adds guess_space and guess_success_ceiling, and [cohort]
+ * reuses the [workload] usage-profile rows and the [mixture] rows.
+ */
+std::vector<KeyRow> keyTable(core::DesignRequest &spec);
+std::vector<KeyRow> keyTable(DesignSection &spec);
+std::vector<KeyRow> keyTable(StructureSpec &spec);
+std::vector<KeyRow> keyTable(ShareSpec &spec);
+std::vector<KeyRow> keyTable(OtpSection &spec);
+std::vector<KeyRow> keyTable(fault::FaultPlan &spec);
+std::vector<KeyRow> keyTable(MwaySpec &spec);
+std::vector<KeyRow> keyTable(WorkloadSpec &spec);
+std::vector<KeyRow> keyTable(MixtureSpec &spec);
+std::vector<KeyRow> keyTable(FleetSpec &spec);
+std::vector<KeyRow> keyTable(FleetCohortSpec &spec);
 
 /**
  * Parse spec text into typed sections, appending parse *and* rule

@@ -5,9 +5,9 @@
  * std::mutex carries no capability attributes, so -Wthread-safety
  * cannot reason about it. Mutex is a drop-in std::mutex wrapper marked
  * LEMONS_CAPABILITY; MutexLock is the scoped RAII guard. All users of
- * shared mutable state in the library (the Monte Carlo parallel path,
- * SharedRunningStats) go through these so the lock discipline is
- * machine-checked on every Clang build.
+ * shared mutable state in the library (the Monte Carlo parallel path)
+ * go through these so the lock discipline is machine-checked on every
+ * Clang build.
  */
 
 #ifndef LEMONS_UTIL_MUTEX_H_

@@ -94,14 +94,6 @@ RunningStats::stddev() const
 }
 
 double
-RunningStats::meanStdError() const
-{
-    if (n < 2)
-        return 0.0;
-    return stddev() / std::sqrt(static_cast<double>(n));
-}
-
-double
 quantile(std::vector<double> samples, double q)
 {
     requireArg(!samples.empty(), "quantile: empty sample set");

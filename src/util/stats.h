@@ -10,9 +10,6 @@
 #include <limits>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace lemons {
 
 /**
@@ -70,8 +67,6 @@ class RunningStats
     double min() const { return minValue; }
     /** Largest observation; -inf when empty. */
     double max() const { return maxValue; }
-    /** Standard error of the mean; 0 with fewer than two samples. */
-    double meanStdError() const;
 
     /** Exact snapshot of the accumulator for serialization. */
     State state() const;
@@ -90,44 +85,6 @@ class RunningStats
     // undefined behaviour once shards are checkpointed to disk.
     double minValue = std::numeric_limits<double>::infinity();
     double maxValue = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * A RunningStats safe to feed from many threads at once.
- *
- * The inner accumulator is guarded by a capability-annotated Mutex, so
- * Clang's -Wthread-safety proves every access takes the lock. Workers
- * that produce samples in bulk should accumulate into a local
- * RunningStats and mergeFrom() once — one lock acquisition per worker
- * instead of per sample.
- */
-class SharedRunningStats
-{
-  public:
-    /** Thread-safe RunningStats::add. */
-    void add(double x) LEMONS_EXCLUDES(mu)
-    {
-        const MutexLock lock(mu);
-        inner.add(x);
-    }
-
-    /** Fold a worker-local accumulator in under the lock. */
-    void mergeFrom(const RunningStats &partial) LEMONS_EXCLUDES(mu)
-    {
-        const MutexLock lock(mu);
-        inner.merge(partial);
-    }
-
-    /** Consistent copy of the aggregate so far. */
-    RunningStats snapshot() const LEMONS_EXCLUDES(mu)
-    {
-        const MutexLock lock(mu);
-        return inner;
-    }
-
-  private:
-    mutable Mutex mu;
-    RunningStats inner LEMONS_GUARDED_BY(mu);
 };
 
 /**

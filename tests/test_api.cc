@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "analysis/report.h"
 #include "api/codec.h"
@@ -20,6 +22,7 @@
 #include "api/service.h"
 #include "api/types.h"
 #include "lint/diagnostics.h"
+#include "lint/spec_file.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -333,6 +336,95 @@ TEST(ApiService, SolveIsDeterministic)
     const Service service;
     EXPECT_EQ(service.solve(kSolveBody).body,
               service.solve(kSolveBody).body);
+}
+
+/** Every field of @p request, written out by hand. */
+std::string
+describeRequest(const core::DesignRequest &request)
+{
+    std::ostringstream text;
+    text.precision(17);
+    text << request.device.alpha << ' ' << request.device.beta << ' '
+         << request.legitimateAccessBound << ' ' << request.kFraction << ' '
+         << request.criteria.minReliability << ' '
+         << request.criteria.maxResidualReliability << ' '
+         << (request.upperBoundTarget
+                 ? std::to_string(*request.upperBoundTarget)
+                 : "unset")
+         << ' ' << request.maxWidth << ' ' << request.maxPerCopyBound;
+    return text.str();
+}
+
+TEST(ApiService, SolveReadsTheDesignKeyTable)
+{
+    // For each [design] request key, /v1/solve and the .lemons reader
+    // decode the same value into the same DesignRequest field.
+    core::DesignRequest defaults;
+    const std::vector<lint::KeyRow> rows = lint::keyTable(defaults);
+    ASSERT_EQ(rows.size(), 9u);
+    for (const lint::KeyRow &row : rows) {
+        const std::string key(row.key);
+        const char *value =
+            std::holds_alternative<double *>(row.field) ? "0.4375" : "4242";
+        lint::Report diagnostics;
+        JsonValue root;
+        SolveRequest fromJson;
+        ASSERT_TRUE(parseBody("{\"" + key + "\": " + value + "}", root,
+                              diagnostics));
+        ASSERT_TRUE(parseSolveRequest(root, fromJson, diagnostics))
+            << key << "\n" << diagnostics.format();
+
+        lint::Report report;
+        const lint::ParsedSpec spec = lint::parseSpec(
+            "[design]\n" + key + " = " + value + "\n", "f", report);
+        ASSERT_EQ(spec.designs.size(), 1u) << key << report.format();
+        EXPECT_EQ(describeRequest(fromJson.request),
+                  describeRequest(spec.designs[0].request))
+            << key;
+        EXPECT_NE(describeRequest(fromJson.request),
+                  describeRequest(defaults))
+            << key;
+
+        // A wrong JSON type is S002 on exactly that field.
+        const ServiceResult wrong =
+            Service().solve("{\"" + key + "\": \"x\"}");
+        EXPECT_EQ(wrong.status, 400) << key;
+        const JsonValue envelope = parseEnvelope(wrong.body);
+        EXPECT_EQ(firstCode(envelope), "S002") << key;
+        EXPECT_EQ(envelope.find("diagnostics")->items()[0].find("field")
+                      ->asString(),
+                  key);
+    }
+    // The lint-only keys are not solve request fields.
+    EXPECT_EQ(firstCode(parseEnvelope(
+                  Service().solve(R"({"guess_space": 1e6})").body)),
+              "S002");
+}
+
+TEST(ApiService, SolveRefusesWorkPastTheLimitBeforeSolving)
+{
+    // alpha 1e7 over a 1e12 LAB scans 3e7 per-copy bounds: L015, with
+    // no solve run, on /v1/solve and on the spec endpoints alike.
+    const obs::Counter &solves =
+        obs::Registry::global().counter("core.solver.solves");
+    const uint64_t before = solves.get();
+    const Service service;
+    const ServiceResult solved = service.solve(
+        R"({"alpha": 1e7, "lab": 1000000000000, "k_fraction": 0.2})");
+    EXPECT_EQ(solved.status, 200);
+    EXPECT_FALSE(solved.ok);
+    EXPECT_EQ(firstCode(parseEnvelope(solved.body)), "L015");
+    const std::string spec =
+        R"({"spec": "[design]\nalpha = 1e7\nlab = 1e12\nk_fraction = 0.2\n)"
+        R"(upper_bound_target = 2e12\n"})";
+    for (const ServiceResult &checked :
+         {service.verify(spec), service.analyze(spec)}) {
+        EXPECT_FALSE(checked.ok);
+        const JsonValue envelope = parseEnvelope(checked.body);
+        EXPECT_TRUE(hasCode(envelope, "L015")) << checked.body;
+        EXPECT_TRUE(hasCode(envelope, "V901")) << checked.body;
+    }
+    EXPECT_EQ(solves.get(), before);
 }
 
 std::string

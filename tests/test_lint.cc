@@ -10,7 +10,13 @@
 
 #include <functional>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "arch/structures.h"
 #include "core/decision_tree.h"
@@ -707,6 +713,288 @@ TEST(LintRules, FleetStaggerReachingTheHorizonWarns)
     EXPECT_TRUE(firesError(infinite, Code::L806));
     EXPECT_FALSE(infinite.hasCode(Code::L813));
 }
+
+TEST(LintRules, SolverWorkLimitRefusesLongSolves)
+{
+    // alpha 1e7 scans 3e7 per-copy bounds (about 1.6 s to solve).
+    core::DesignRequest wide = paperRequest();
+    wide.device.alpha = 1e7;
+    wide.legitimateAccessBound = 1'000'000'000'000ULL;
+    wide.kFraction = 0.2;
+    EXPECT_TRUE(firesError(lint::checkDesign(wide), Code::L015));
+    EXPECT_THROW(core::DesignSolver{wide}, lint::LintError);
+
+    // max_per_copy_bound narrows the scan back under the limit.
+    core::DesignRequest narrowed = wide;
+    narrowed.maxPerCopyBound = 1000;
+    EXPECT_FALSE(lint::checkDesign(narrowed).hasCode(Code::L015));
+    EXPECT_NO_THROW(core::DesignSolver{narrowed});
+
+    // The limit is inclusive: the LAB caps the scan at 1e6 steps.
+    core::DesignRequest atLimit = wide;
+    atLimit.legitimateAccessBound = 1'000'000;
+    EXPECT_EQ(lint::designSolveWork(atLimit), lint::kMaxDesignSolveWork);
+    EXPECT_FALSE(lint::checkDesign(atLimit).hasErrors());
+    EXPECT_NO_THROW(core::DesignSolver{atLimit});
+    atLimit.legitimateAccessBound += 1;
+    EXPECT_TRUE(firesError(lint::checkDesign(atLimit), Code::L015));
+    EXPECT_THROW(core::DesignSolver{atLimit}, lint::LintError);
+
+    // An upper-bound target multiplies each step by the overshoot scan:
+    // alpha 3e3 took 26 s to solve.
+    core::DesignRequest targeted = wide;
+    targeted.device.alpha = 3e3;
+    targeted.upperBoundTarget = 2'000'000'000'000ULL;
+    EXPECT_TRUE(firesError(lint::checkDesign(targeted), Code::L015));
+    EXPECT_THROW(core::DesignSolver{targeted}, lint::LintError);
+
+    // The paper's designs sit far below the limit.
+    core::DesignRequest paper = paperRequest();
+    paper.upperBoundTarget = 200000;
+    EXPECT_LT(lint::designSolveWork(paper), 1e4);
+    EXPECT_TRUE(lint::checkDesign(paper).empty())
+        << lint::checkDesign(paper).format();
+}
+
+TEST(LintSpecFile, RepeatedKeyIsAnError)
+{
+    // Either order is L907 and drops the section: the last value must
+    // not win without a word (lab = 0 then 91250 used to lint clean).
+    for (const char *text : {"[design]\nlab = 0\nlab = 91250\n",
+                             "[design]\nlab = 91250\nlab = 0\n"}) {
+        Report report;
+        const lint::ParsedSpec parsed = lint::parseSpec(text, "f", report);
+        EXPECT_TRUE(firesError(report, Code::L907)) << report.format();
+        EXPECT_EQ(report.errorCount(), 1u) << report.format();
+        EXPECT_TRUE(parsed.designs.empty());
+        EXPECT_NE(report.format().find("line 3: key 'lab' repeats line 2"),
+                  std::string::npos)
+            << report.format();
+    }
+    // Shared rows are checked too: a [cohort] repeating a usage key.
+    Report cohort;
+    lint::parseSpec("[fleet]\n[cohort]\nmean_per_day = 5\n"
+                    "mean_per_day = 6\n",
+                    "f", cohort);
+    EXPECT_TRUE(firesError(cohort, Code::L907)) << cohort.format();
+    // An unknown key stays an L904 warning however often it appears.
+    Report unknown;
+    lint::parseSpec("[mway]\nm = 2\nfrob = 1\nfrob = 2\n", "f", unknown);
+    EXPECT_FALSE(unknown.hasErrors()) << unknown.format();
+    EXPECT_EQ(unknown.warningCount(), 2u) << unknown.format();
+}
+
+// --- the key tables -----------------------------------------------------
+
+/** A key's documented field, written out independently of the table. */
+template <class Spec>
+using FieldOf = std::function<lint::KeyField(Spec &)>;
+
+template <class Spec>
+using Oracle = std::vector<std::pair<std::string, FieldOf<Spec>>>;
+
+/** A value no default holds, for the field's type (as spec text). */
+std::string
+distinctiveText(const lint::KeyField &field)
+{
+    return std::visit(
+        [](auto *out) -> std::string {
+            using Field = std::remove_pointer_t<decltype(out)>;
+            if constexpr (std::is_same_v<Field, double> ||
+                          std::is_same_v<Field, std::optional<double>>)
+                return "0.4375";
+            else if constexpr (std::is_same_v<Field, std::string>)
+                return "zeta";
+            else if constexpr (std::is_same_v<Field,
+                                              lint::StructureSpec::Kind>)
+                return "series";
+            else
+                return "9";
+        },
+        field);
+}
+
+/** The field's value, rendered so any two values compare as text. */
+std::string
+render(const lint::KeyField &field)
+{
+    return std::visit(
+        [](auto *out) -> std::string {
+            using Field = std::remove_pointer_t<decltype(out)>;
+            std::ostringstream text;
+            text.precision(17);
+            if constexpr (std::is_same_v<Field, std::optional<double>> ||
+                          std::is_same_v<Field, std::optional<uint64_t>>) {
+                if (!out->has_value())
+                    return "unset";
+                text << **out;
+            } else if constexpr (std::is_same_v<Field,
+                                                lint::StructureSpec::Kind>) {
+                return *out == lint::StructureSpec::Kind::Series
+                           ? "series"
+                           : "parallel";
+            } else {
+                text << *out;
+            }
+            return text.str();
+        },
+        field);
+}
+
+/**
+ * Every row of Spec's table points at the field the oracle names, and
+ * a spec setting only that key parses into exactly that field.
+ */
+template <class Spec>
+void
+checkKeyTable(const std::string &section, const Oracle<Spec> &oracle,
+              const std::function<Spec &(lint::ParsedSpec &)> &parsedOf,
+              const std::string &preamble = "")
+{
+    Spec defaults{};
+    const std::vector<lint::KeyRow> table = lint::keyTable(defaults);
+    ASSERT_EQ(table.size(), oracle.size()) << section;
+    for (size_t i = 0; i < table.size(); ++i) {
+        EXPECT_EQ(table[i].key, oracle[i].first) << section;
+        EXPECT_TRUE(table[i].field == oracle[i].second(defaults))
+            << "[" << section << "] " << table[i].key;
+    }
+    for (const lint::KeyRow &row : table) {
+        const std::string value = distinctiveText(row.field);
+        Report report;
+        lint::ParsedSpec parsed = lint::parseSpec(
+            preamble + "[" + section + "]\n" + std::string(row.key) +
+                " = " + value + "\n",
+            "f", report);
+        const auto where = "[" + section + "] " + std::string(row.key);
+        ASSERT_FALSE(report.hasCode(Code::L904)) << where;
+        ASSERT_FALSE(report.hasCode(Code::L905)) << where;
+        Spec &spec = parsedOf(parsed);
+        const std::vector<lint::KeyRow> read = lint::keyTable(spec);
+        for (size_t i = 0; i < read.size(); ++i) {
+            if (read[i].key == row.key)
+                EXPECT_EQ(render(read[i].field), value) << where;
+            else
+                EXPECT_EQ(render(read[i].field), render(table[i].field))
+                    << where << " also wrote " << read[i].key;
+        }
+    }
+}
+
+/** An oracle row: @p key's documented field, as a path into the spec. */
+#define ROW(key, path)                                                     \
+    {                                                                      \
+        key, [](auto &s) -> lint::KeyField { return &s.path; }             \
+    }
+
+TEST(LintSpecFile, EveryKeyWritesItsOwnField)
+{
+    using lint::ParsedSpec;
+    checkKeyTable<lint::DesignSection>(
+        "design",
+        {ROW("alpha", request.device.alpha),
+         ROW("beta", request.device.beta),
+         ROW("lab", request.legitimateAccessBound),
+         ROW("k_fraction", request.kFraction),
+         ROW("min_reliability", request.criteria.minReliability),
+         ROW("max_residual_reliability",
+             request.criteria.maxResidualReliability),
+         ROW("upper_bound_target", request.upperBoundTarget),
+         ROW("max_width", request.maxWidth),
+         ROW("max_per_copy_bound", request.maxPerCopyBound),
+         ROW("guess_space", options.guessSpace),
+         ROW("guess_success_ceiling", options.guessSuccessCeiling)},
+        [](ParsedSpec &p) -> auto & { return p.designs.at(0); });
+    checkKeyTable<lint::StructureSpec>(
+        "structure",
+        {ROW("kind", kind),
+         ROW("n", n),
+         ROW("k", k),
+         ROW("alpha", device.alpha),
+         ROW("beta", device.beta),
+         ROW("access_bound", accessBound),
+         ROW("copies", copies),
+         ROW("min_reliability", minReliability),
+         ROW("max_residual", maxResidual)},
+        [](ParsedSpec &p) -> auto & { return p.structures.at(0); });
+    checkKeyTable<lint::ShareSpec>(
+        "shares",
+        {ROW("n", shares),
+         ROW("k", threshold),
+         ROW("field_bits", fieldBits),
+         ROW("unguarded", unguarded)},
+        [](ParsedSpec &p) -> auto & { return p.shares.at(0); });
+    checkKeyTable<lint::OtpSection>(
+        "otp",
+        {ROW("height", params.height),
+         ROW("copies", params.copies),
+         ROW("threshold", params.threshold),
+         ROW("alpha", params.device.alpha),
+         ROW("beta", params.device.beta),
+         ROW("receiver_floor", receiverFloor),
+         ROW("adversary_ceiling", adversaryCeiling)},
+        [](ParsedSpec &p) -> auto & { return p.otps.at(0); });
+    checkKeyTable<fault::FaultPlan>(
+        "fault",
+        {ROW("stuck_closed_rate", stuckClosedRate),
+         ROW("infant_fraction", infantFraction),
+         ROW("infant_scale_fraction", infantScaleFraction),
+         ROW("infant_shape", infantShape),
+         ROW("glitch_rate", glitchRate),
+         ROW("alpha_drift_sigma", alphaDriftSigma),
+         ROW("beta_drift_sigma", betaDriftSigma)},
+        [](ParsedSpec &p) -> auto & { return p.faults.at(0); });
+    checkKeyTable<lint::MwaySpec>(
+        "mway",
+        {ROW("m", m), ROW("module_devices", moduleDevices)},
+        [](ParsedSpec &p) -> auto & { return p.mways.at(0); });
+    checkKeyTable<lint::WorkloadSpec>(
+        "workload",
+        {ROW("mean_per_day", meanPerDay),
+         ROW("burst_probability", burstProbability),
+         ROW("burst_multiplier", burstMultiplier),
+         ROW("budget", budgetAccesses),
+         ROW("horizon_days", horizonDays)},
+        [](ParsedSpec &p) -> auto & { return p.workloads.at(0); });
+    checkKeyTable<lint::MixtureSpec>(
+        "mixture",
+        {ROW("infant_fraction", infantFraction),
+         ROW("infant_alpha", infant.alpha),
+         ROW("infant_beta", infant.beta),
+         ROW("main_alpha", main.alpha),
+         ROW("main_beta", main.beta)},
+        [](ParsedSpec &p) -> auto & { return p.mixtures.at(0); });
+    checkKeyTable<lint::FleetSpec>(
+        "fleet",
+        {ROW("devices", devices),
+         ROW("seed", seed),
+         ROW("chunk_size", chunkSize),
+         ROW("checkpoint_interval", checkpointEveryChunks),
+         ROW("horizon_days", horizonDays),
+         ROW("premature_days", prematureDays),
+         ROW("premature_tolerance", prematureTolerance)},
+        [](ParsedSpec &p) -> auto & { return p.fleets.at(0); });
+    checkKeyTable<lint::FleetCohortSpec>(
+        "cohort",
+        {ROW("name", name),
+         ROW("weight", weight),
+         ROW("stagger_days", staggerDays),
+         ROW("access_bound", accessBound),
+         ROW("mean_per_day", usage.meanPerDay),
+         ROW("burst_probability", usage.burstProbability),
+         ROW("burst_multiplier", usage.burstMultiplier),
+         ROW("infant_fraction", lifetime.infantFraction),
+         ROW("infant_alpha", lifetime.infant.alpha),
+         ROW("infant_beta", lifetime.infant.beta),
+         ROW("main_alpha", lifetime.main.alpha),
+         ROW("main_beta", lifetime.main.beta),
+         ROW("reprovision_day", reprovisionDay),
+         ROW("reprovision_scale", reprovisionUsageScale)},
+        [](ParsedSpec &p) -> auto & { return p.fleets.at(0).cohorts.at(0); },
+        "[fleet]\n");
+}
+
+#undef ROW
 
 } // namespace
 } // namespace lemons

@@ -3,19 +3,17 @@
  * Concurrency stress tests for the parallel Monte Carlo paths. These
  * are the tests the TSan CI job leans on: they hammer the pooled
  * engine run() path (sample-keeping, streaming, and fault-capturing
- * configurations) and the SharedRunningStats accumulator with more
- * workers than cores so any data race in the reduction or
- * error-capture plumbing has a real chance to interleave.
+ * configurations) with more workers than cores so any data race in
+ * the reduction or error-capture plumbing has a real chance to
+ * interleave.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "sim/monte_carlo.h"
@@ -159,43 +157,6 @@ TEST(ParallelStress, ReportStressRun)
                       report.nonFiniteTrials.size());
         EXPECT_EQ(report.stats.count(), report.cleanTrials());
     }
-}
-
-TEST(ParallelStress, SharedRunningStatsConcurrentAdds)
-{
-    SharedRunningStats shared;
-    constexpr unsigned kWriters = 8;
-    constexpr uint64_t kPerWriter = 25'000;
-    std::atomic<uint64_t> started{0};
-    std::vector<std::thread> writers;
-    writers.reserve(kWriters);
-    for (unsigned w = 0; w < kWriters; ++w) {
-        writers.emplace_back([&shared, &started, w] {
-            started.fetch_add(1);
-            while (started.load() < kWriters) {
-            } // spin so all writers contend at once
-            RunningStats local;
-            for (uint64_t i = 0; i < kPerWriter; ++i) {
-                const double x =
-                    static_cast<double>(w * kPerWriter + i);
-                if (i % 2 == 0)
-                    shared.add(x); // direct contended path
-                else
-                    local.add(x); // bulk path
-            }
-            shared.mergeFrom(local);
-        });
-    }
-    for (auto &t : writers)
-        t.join();
-    const RunningStats total = shared.snapshot();
-    const uint64_t expected = uint64_t{kWriters} * kPerWriter;
-    EXPECT_EQ(total.count(), expected);
-    EXPECT_EQ(total.min(), 0.0);
-    EXPECT_EQ(total.max(), static_cast<double>(expected - 1));
-    // Sum of 0..N-1 => mean (N-1)/2.
-    EXPECT_NEAR(total.mean(), static_cast<double>(expected - 1) / 2.0,
-                1e-6 * static_cast<double>(expected));
 }
 
 TEST(ParallelStress, MergeAgreesWithSingleAccumulator)

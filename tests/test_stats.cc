@@ -22,7 +22,6 @@ TEST(RunningStats, EmptyDefaults)
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.mean(), 0.0);
     EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.meanStdError(), 0.0);
 }
 
 TEST(RunningStats, SingleValue)
@@ -49,7 +48,6 @@ TEST(RunningStats, MatchesDirectComputation)
     EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.meanStdError(), s.stddev() / std::sqrt(8.0), 1e-12);
 }
 
 TEST(RunningStats, NumericallyStableForShiftedData)
@@ -153,21 +151,6 @@ TEST(RunningStatsMerge, QuarantineTallySurvivesEveryBranch)
     target.merge(onlyNan);
     EXPECT_EQ(target.count(), 1u);
     EXPECT_EQ(target.nonFiniteCount(), 3u);
-}
-
-TEST(SharedRunningStats, SnapshotSeesAddsAndMerges)
-{
-    SharedRunningStats shared;
-    shared.add(1.0);
-    RunningStats local;
-    local.add(5.0);
-    local.add(9.0);
-    shared.mergeFrom(local);
-    const RunningStats snap = shared.snapshot();
-    EXPECT_EQ(snap.count(), 3u);
-    EXPECT_DOUBLE_EQ(snap.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(snap.min(), 1.0);
-    EXPECT_DOUBLE_EQ(snap.max(), 9.0);
 }
 
 TEST(Quantile, MedianOfOddSet)
