@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,10 +61,15 @@ runCell(const Design &design, const fault::FaultyDeviceFactory &factory,
         uint64_t trials)
 {
     const sim::MonteCarlo mc(kSeed, trials);
+    // One table per plan serves every trial.
+    const std::optional<arch::BankLaw> law =
+        arch::bankLawOf(factory, design.width, design.threshold);
     const sim::TrialReport report = mc.run([&](Rng &rng) {
         const arch::FaultyArchitectureOutcome outcome =
-            arch::sampleFaultySerialCopiesOutcome(
-                factory, design.width, design.threshold, design.copies, rng);
+            law ? arch::sampleSerialCopiesOutcome(*law, design.copies, rng)
+                : arch::sampleFaultySerialCopiesOutcome(
+                      factory, design.width, design.threshold,
+                      design.copies, rng);
         if (outcome.unbounded)
             return std::numeric_limits<double>::infinity();
         return static_cast<double>(outcome.totalAccesses);

@@ -11,6 +11,8 @@
  * redundant encoding.
  */
 
+#include <optional>
+
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
 #include "core/design_solver.h"
@@ -42,12 +44,22 @@ sweep(lemons::bench::BenchContext &ctx, const char *label,
         const arch::LifetimeSampler sampler = [&](Rng &rng) {
             return mix.sample(rng);
         };
+        // One table per infant fraction serves every trial; a support
+        // past the cap falls back to sampling every device.
+        const std::optional<arch::BankLaw> law = arch::BankLaw::tabulate(
+            [&mix](double j) {
+                return arch::DeviceSurvival{mix.reliability(j), mix.cdf(j)};
+            },
+            design.width, design.threshold);
         const auto report = engine.run(
             [&](Rng &rng) {
                 return static_cast<double>(
-                    arch::sampleSerialCopiesTotalAccesses(
-                        sampler, design.width, design.threshold,
-                        design.copies, rng));
+                    law ? arch::sampleSerialCopiesOutcome(
+                              *law, design.copies, rng)
+                              .totalAccesses
+                        : arch::sampleSerialCopiesTotalAccesses(
+                              sampler, design.width, design.threshold,
+                              design.copies, rng));
             },
             {.threads = 0, .faults = sim::FaultPolicy::Rethrow});
         const RunningStats &stats = report.stats;

@@ -199,124 +199,6 @@ probeSeriesHealth(const fault::FaultyDeviceFactory &factory, size_t n,
     return assessHealth(sampleFates(factory, n, rng), n, probeAccess);
 }
 
-namespace {
-
-/** Per-thread draw and uniform buffers of the fault bank kernel. */
-thread_local std::vector<double> faultDraws;
-thread_local std::vector<double> infantUniforms;
-
-/**
- * Move the min(k, m) smallest of @p u[0..m) to its front and return
- * how many that is. Order within the front is unspecified.
- */
-size_t
-keepSmallest(double *u, size_t m, size_t k)
-{
-    if (k >= m)
-        return m;
-    if (k == 1)
-        u[0] = engine::selectKthSmallest(u, m, 1);
-    else
-        engine::selectKthSmallestUniform(u, m, k);
-    return k;
-}
-
-/**
- * Fault bank kernel for a nominal lot under a plan without drift.
- *
- * Device i of the per-device path consumes, in order, a stuck draw
- * (when epsilon > 0), an infant draw (when w > 0) and one lifetime
- * uniform u. All n such tuples come from one bulk fillUniformOpenLow;
- * the [0, 1) value nextDouble() would have returned for a draw is its
- * open-low value minus 2^-53, exactly. A healthy lifetime T(u) and an
- * infant lifetime min(T(u), T_early(u)) are both non-increasing in u,
- * so once the k' = k - stuck mortal devices that must survive are
- * known, the k'-th largest mortal lifetime lies among the k' smallest
- * uniforms of each group: at most 2k' transforms instead of n, with
- * the identical draws and a bit-identical result.
- */
-FaultySurvival
-sampleFaultyNominalBank(const fault::FaultyDeviceFactory &factory, size_t n,
-                        size_t k, Rng &rng)
-{
-    const fault::FaultPlan &plan = factory.plan();
-    const wearout::Weibull &healthy = factory.base().nominalModel();
-    FaultySurvival survival;
-    if (plan.isNull()) {
-        // The null plan draws exactly what the unfaulted factory does.
-        survival.accesses =
-            engine::sampleParallelBankSurvival(healthy, n, k, rng);
-        return survival;
-    }
-
-    const double stuckRate = plan.stuckClosedRate;
-    const double infantRate = plan.infantFraction;
-    const size_t stride =
-        1 + size_t{stuckRate > 0.0} + size_t{infantRate > 0.0};
-    std::vector<double> &draws = faultDraws;
-    std::vector<double> &infant = infantUniforms;
-    if (draws.size() < n * stride)
-        draws.resize(n * stride);
-    if (infant.size() < n)
-        infant.resize(n);
-    rng.fillUniformOpenLow(draws.data(), n * stride);
-
-    // Classify, compacting the healthy uniforms into the front of the
-    // draw buffer (write index <= read index) and the infant ones into
-    // their own buffer, without branching on the draws.
-    constexpr double kGridStep = 0x1.0p-53;
-    double *healthyU = draws.data();
-    size_t stuck = 0;
-    size_t healthyCount = 0;
-    size_t infantCount = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const double *device = draws.data() + i * stride;
-        size_t at = 0;
-        const bool isStuck =
-            stuckRate > 0.0 && device[at++] - kGridStep < stuckRate;
-        const bool isInfant =
-            infantRate > 0.0 && device[at++] - kGridStep < infantRate;
-        const double u = device[at];
-        healthyU[healthyCount] = u;
-        infant[infantCount] = u;
-        stuck += isStuck;
-        healthyCount += !isStuck && !isInfant;
-        infantCount += !isStuck && isInfant;
-    }
-    survival.stuckDevices = stuck;
-    if (stuck >= k) {
-        survival.unbounded = true;
-        return survival;
-    }
-
-    // Candidate lifetimes go to the front of the draw buffer: healthy
-    // ones in place, infant ones right after them.
-    const size_t mortalK = k - stuck;
-    const size_t healthyKept = keepSmallest(healthyU, healthyCount, mortalK);
-    const size_t infantKept =
-        keepSmallest(infant.data(), infantCount, mortalK);
-    double *lifetimes = draws.data();
-    for (size_t i = 0; i < healthyKept; ++i)
-        lifetimes[i] = healthy.sampleFromUniform(lifetimes[i]);
-    if (infantKept > 0) {
-        const wearout::Weibull early(plan.infantScaleFraction *
-                                         factory.base().spec().alpha,
-                                     plan.infantShape);
-        for (size_t i = 0; i < infantKept; ++i)
-            lifetimes[healthyKept + i] =
-                std::min(healthy.sampleFromUniform(infant[i]),
-                         early.sampleFromUniform(infant[i]));
-    }
-    // The k'-th largest of the candidates is their
-    // (candidates - k' + 1)-th smallest.
-    const size_t candidates = healthyKept + infantKept;
-    survival.accesses = floorToAccesses(engine::selectKthSmallest(
-        lifetimes, candidates, candidates - mortalK + 1));
-    return survival;
-}
-
-} // namespace
-
 FaultySurvival
 sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
                                      size_t n, size_t k, Rng &rng)
@@ -327,13 +209,6 @@ sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
                "sampleFaultyParallelSurvivedAccesses: need 1 <= k <= n");
     LEMONS_OBS_INCREMENT("arch.sim.faulty_structure_samples");
     LEMONS_OBS_COUNT("arch.sim.device_samples", n);
-    const fault::FaultPlan &plan = factory.plan();
-    if (isNominalLot(factory.base()) && plan.alphaDriftSigma == 0.0 &&
-        plan.betaDriftSigma == 0.0)
-        return sampleFaultyNominalBank(factory, n, k, rng);
-
-    // Lot variation or drift: lifetimes are no longer monotone in one
-    // uniform, so every device is sampled and transformed.
     FaultySurvival survival;
     std::vector<double> lifetimes;
     lifetimes.reserve(n);
@@ -354,6 +229,72 @@ sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
     return survival;
 }
 
+std::optional<BankLaw>
+bankLawOf(const wearout::DeviceFactory &factory, size_t n, size_t k)
+{
+    if (!isNominalLot(factory))
+        return std::nullopt;
+    const wearout::Weibull &model = factory.nominalModel();
+    return BankLaw::tabulate(
+        [&model](double j) {
+            return DeviceSurvival{model.reliability(j), model.cdf(j)};
+        },
+        n, k);
+}
+
+std::optional<BankLaw>
+bankLawOf(const fault::FaultyDeviceFactory &factory, size_t n, size_t k)
+{
+    const fault::FaultPlan &plan = factory.plan();
+    if (!isNominalLot(factory.base()) || plan.alphaDriftSigma != 0.0 ||
+        plan.betaDriftSigma != 0.0)
+        return std::nullopt;
+    const wearout::Weibull &healthy = factory.base().nominalModel();
+    const wearout::Weibull early(
+        plan.infantScaleFraction * factory.base().spec().alpha,
+        plan.infantShape);
+    const double w = plan.infantFraction;
+    return BankLaw::tabulate(
+        [&healthy, &early, w](double j) {
+            const DeviceSurvival healthyLeg{healthy.reliability(j),
+                                            healthy.cdf(j)};
+            if (w == 0.0)
+                return healthyLeg;
+            // An infant device dies at min(T_healthy(u), T_early(u)) on
+            // one uniform u, so it lives past j with min(R_h, R_e).
+            const DeviceSurvival infantLeg{
+                std::min(healthyLeg.reliability, early.reliability(j)),
+                std::max(healthyLeg.failure, early.cdf(j))};
+            return DeviceSurvival{
+                (1.0 - w) * healthyLeg.reliability +
+                    w * infantLeg.reliability,
+                (1.0 - w) * healthyLeg.failure + w * infantLeg.failure};
+        },
+        n, k, plan.stuckClosedRate);
+}
+
+FaultyArchitectureOutcome
+sampleSerialCopiesOutcome(const BankLaw &law, uint64_t copies, Rng &rng)
+{
+    requireArg(copies >= 1,
+               "sampleSerialCopiesOutcome: need at least one copy");
+    FaultyArchitectureOutcome outcome;
+    uint64_t drawn = 0;
+    while (drawn < copies) {
+        const uint64_t accesses = law.accessesFor(rng.nextDoubleOpenLow());
+        ++drawn;
+        if (accesses == BankLaw::kUnbounded) {
+            LEMONS_OBS_INCREMENT("arch.sim.unbounded_outcomes");
+            outcome.unbounded = true;
+            outcome.stuckDominatedCopies = 1;
+            break;
+        }
+        outcome.totalAccesses += accesses;
+    }
+    LEMONS_OBS_COUNT("arch.sim.structure_samples", drawn);
+    return outcome;
+}
+
 FaultyArchitectureOutcome
 sampleFaultySerialCopiesOutcome(const fault::FaultyDeviceFactory &factory,
                                 size_t n, size_t k, uint64_t copies,
@@ -361,6 +302,8 @@ sampleFaultySerialCopiesOutcome(const fault::FaultyDeviceFactory &factory,
 {
     requireArg(copies >= 1,
                "sampleFaultySerialCopiesOutcome: need at least one copy");
+    if (const std::optional<BankLaw> law = bankLawOf(factory, n, k))
+        return sampleSerialCopiesOutcome(*law, copies, rng);
     FaultyArchitectureOutcome outcome;
     for (uint64_t c = 0; c < copies; ++c) {
         const FaultySurvival survival =

@@ -11,7 +11,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 
+#include "arch/bank_law.h"
 #include "fault/faulty_device.h"
 #include "util/rng.h"
 #include "wearout/population.h"
@@ -134,13 +136,11 @@ struct FaultySurvival
 };
 
 /**
- * Fault-injected counterpart of sampleParallelSurvivedAccesses.
+ * Fault-injected counterpart of sampleParallelSurvivedAccesses: one
+ * sampleFaultyLifetime per device, then the k-th largest lifetime.
  * Transient glitches are ignored here: they fail individual reads but
- * do not move the wearout order statistics. For a nominal lot under a
- * plan without drift, a bank kernel draws the devices' uniforms in
- * bulk and transforms only candidate order statistics; it consumes the
- * same draws as n sampleFaultyLifetime calls and returns a
- * bit-identical result.
+ * do not move the wearout order statistics. This per-device loop is
+ * the oracle of bankLawOf(const fault::FaultyDeviceFactory &, ...).
  */
 FaultySurvival
 sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
@@ -161,12 +161,42 @@ struct FaultyArchitectureOutcome
  * Fault-injected counterpart of sampleSerialCopiesTotalAccesses:
  * copies are consumed serially until one of them turns out to be
  * unkillable (at which point the architecture serves unbounded
- * accesses) or all copies die.
+ * accesses) or all copies die. When bankLawOf(factory, n, k) has a
+ * law, the call tabulates it and draws one uniform per copy; otherwise
+ * it samples every device.
  */
 FaultyArchitectureOutcome
 sampleFaultySerialCopiesOutcome(const fault::FaultyDeviceFactory &factory,
                                 size_t n, size_t k, uint64_t copies,
                                 Rng &rng);
+
+/**
+ * The exact law of a k-out-of-n bank of @p factory's devices: nominal
+ * lots only. nullopt for a lot with process variation, or when the
+ * support passes BankLaw::kMaxEntries; callers then sample devices.
+ */
+std::optional<BankLaw> bankLawOf(const wearout::DeviceFactory &factory,
+                                 size_t n, size_t k);
+
+/**
+ * The exact law of a k-out-of-n bank of @p factory's devices: a
+ * nominal lot under a plan without drift, where a device is stuck
+ * closed with the plan's epsilon and otherwise lives past j with
+ * (1 - w) R_healthy(j) + w min(R_healthy(j), R_early(j)). nullopt
+ * otherwise, as for the unfaulted overload.
+ */
+std::optional<BankLaw> bankLawOf(const fault::FaultyDeviceFactory &factory,
+                                 size_t n, size_t k);
+
+/**
+ * Serial consumption of @p copies banks drawn from @p law, one uniform
+ * per copy, stopping at the first unbounded one. Its outcome has the
+ * law of sampleFaultySerialCopiesOutcome's per-device loop, and
+ * stuckDominatedCopies is 1 exactly when the outcome is unbounded.
+ */
+FaultyArchitectureOutcome sampleSerialCopiesOutcome(const BankLaw &law,
+                                                    uint64_t copies,
+                                                    Rng &rng);
 
 } // namespace lemons::arch
 

@@ -177,12 +177,16 @@ DesignSolver::minimalWidth(uint64_t t, uint64_t tDead,
     uint64_t hi = std::max<uint64_t>(
         2, static_cast<uint64_t>(std::ceil(2.0 / spec.kFraction)));
     uint64_t lo = 0;
-    while (hi <= spec.maxWidth && !feasible(hi)) {
-        lo = hi;
-        hi *= 2;
-    }
     if (hi > spec.maxWidth)
         return std::nullopt;
+    // The doubling saturates at maxWidth, so it cannot wrap however
+    // large maxWidth is.
+    while (!feasible(hi)) {
+        if (hi == spec.maxWidth)
+            return std::nullopt;
+        lo = hi;
+        hi = hi > spec.maxWidth / 2 ? spec.maxWidth : 2 * hi;
+    }
 
     while (hi - lo > 1) {
         const uint64_t mid = lo + (hi - lo) / 2;

@@ -34,7 +34,9 @@ struct UsageBounds
 /**
  * Simulate @p trials full lifetimes of the architecture in @p design
  * (its N copies consumed serially) with devices drawn from
- * @p variation -perturbed populations.
+ * @p variation -perturbed populations. A nominal lot draws each copy
+ * from its bank's exact law (arch::bankLawOf), one uniform per copy;
+ * a varied lot samples every device.
  *
  * @param design A feasible design from DesignSolver.
  * @param variation Lot-level process variation (none() for the paper's

@@ -44,31 +44,12 @@ scratchFor(size_t n, double *stackBuf)
 #if defined(LEMONS_BATCH_AVX2)
 
 /**
- * Horizontal min/max over positive finite doubles. Comparisons are
- * exact, the data has no NaNs and no signed zeros, so the reduction
- * returns the identical VALUE as the scalar loop regardless of the
- * association order — which is all the bit-identity contract needs
- * (the selected uniform, not any intermediate, feeds the transform).
- * The fault kernel's per-class selects over 34,311-wide plain banks
- * with infant mortality run here.
+ * Horizontal max over positive finite doubles. Comparisons are exact,
+ * the data has no NaNs and no signed zeros, so the reduction returns
+ * the identical VALUE as the scalar loop regardless of the association
+ * order — which is all the bit-identity contract needs (the selected
+ * uniform, not any intermediate, feeds the transform).
  */
-__attribute__((target("avx2"))) double
-minOfAvx2(const double *values, size_t count)
-{
-    __m256d best = _mm256_loadu_pd(values);
-    size_t i = 4;
-    for (; i + 4 <= count; i += 4)
-        best = _mm256_min_pd(best, _mm256_loadu_pd(values + i));
-    const __m128d folded = _mm_min_pd(_mm256_castpd256_pd128(best),
-                                      _mm256_extractf128_pd(best, 1));
-    double lanes[2];
-    _mm_storeu_pd(lanes, folded);
-    double result = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-    for (; i < count; ++i)
-        result = values[i] < result ? values[i] : result;
-    return result;
-}
-
 __attribute__((target("avx2"))) double
 maxOfAvx2(const double *values, size_t count)
 {
@@ -87,19 +68,6 @@ maxOfAvx2(const double *values, size_t count)
 }
 
 #endif // LEMONS_BATCH_AVX2
-
-double
-minOf(const double *values, size_t count)
-{
-#if defined(LEMONS_BATCH_AVX2)
-    if (count >= 4 && simd::activeLevel() == simd::Level::Avx2)
-        return minOfAvx2(values, count);
-#endif
-    double result = values[0];
-    for (size_t i = 1; i < count; ++i)
-        result = values[i] < result ? values[i] : result;
-    return result;
-}
 
 double
 maxOf(const double *values, size_t count)
@@ -140,22 +108,6 @@ partitionAtOrBelow(double *u, size_t n, double pivot)
 }
 
 } // namespace
-
-double
-selectKthSmallest(double *u, size_t n, size_t k)
-{
-    // The selected value is a member of the input set, so ANY
-    // selection algorithm returns the same double: the SIMD min/max
-    // reductions (the dominant k == 1 / k == n structure
-    // configurations) and the scalar nth_element middle case are all
-    // bit-identical by construction.
-    if (k == 1)
-        return minOf(u, n);
-    if (k == n)
-        return maxOf(u, n);
-    std::nth_element(u, u + (k - 1), u + n);
-    return u[k - 1];
-}
 
 double
 selectKthSmallestUniform(double *u, size_t n, size_t k)

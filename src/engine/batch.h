@@ -26,13 +26,11 @@
  * bank returns; the pivot decides only how much work that takes.
  *
  * On counter-based trial streams (Rng::trialStream) the uniforms are
- * bulk-generated through the dispatched Philox batch, and a k == 1 /
- * k == n selection over an array already in memory reduces with AVX2
- * min/max (the fault kernel's 34,311-wide plain banks with infant
- * mortality select that way). Both are bit-identical to the scalar
- * path, so SIMD width never changes results (enforced by the
- * determinism suites). The Weibull transform itself is scalar: each
- * bank pays for one.
+ * bulk-generated through the dispatched Philox batch, and a k == n
+ * selection over an array already in memory reduces with AVX2 max.
+ * Both are bit-identical to the scalar path, so SIMD width never
+ * changes results (enforced by the determinism suites). The Weibull
+ * transform itself is scalar: each bank pays for one.
  */
 
 #ifndef LEMONS_ENGINE_BATCH_H_
@@ -53,14 +51,6 @@ namespace lemons::engine {
  * NaN.
  */
 uint64_t floorToAccesses(double lifetime);
-
-/**
- * k-th smallest of @p u[0..n), 1 <= k <= n, over values without NaNs.
- * k == 1 and k == n reduce with SIMD min/max, other k run
- * nth_element; the result is a member of the input either way, so it
- * does not depend on the strategy. May reorder @p u.
- */
-double selectKthSmallest(double *u, size_t n, size_t k);
 
 /**
  * k-th smallest of @p u[0..n), 1 <= k <= n, for values drawn as iid

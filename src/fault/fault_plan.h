@@ -21,10 +21,13 @@
  *    lot-level ProcessVariation.
  *
  * A FaultPlan bundles the rates of all four modes. FaultPlan::none()
- * is the ideal-device plan: every fault-aware code path is required to
- * be bit-identical to the unfaulted simulator under it (same seed,
- * same RNG draw sequence), so fault injection can be threaded through
- * every analysis without perturbing the paper's reproduced figures.
+ * is the ideal-device plan: every fault-aware per-device path is
+ * required to be bit-identical to the unfaulted simulator under it
+ * (same seed, same RNG draw sequence), so fault injection can be
+ * threaded through every analysis without perturbing the paper's
+ * reproduced figures. The exact bank law (arch::bankLawOf) draws one
+ * uniform per bank instead, so under the null plan it gives the
+ * unfaulted law, not the unfaulted stream.
  */
 
 #ifndef LEMONS_FAULT_FAULT_PLAN_H_

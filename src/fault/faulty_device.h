@@ -114,9 +114,8 @@ class FaultyNemsSwitch
  * their rates are coupled by common random numbers — which makes
  * monotonicity properties (e.g. attacker success non-decreasing in
  * the stuck-closed rate) hold per-trial, not just in expectation.
- * arch::sampleFaultyParallelSurvivedAccesses replays this sequence
- * from bulk uniforms for nominal lots without drift, so a new draw
- * here must be mirrored there.
+ * arch::bankLawOf tabulates the bank law these draws give for nominal
+ * lots without drift, so a new fault mode here must be mirrored there.
  */
 class FaultyDeviceFactory
 {

@@ -21,6 +21,13 @@ BathtubModel::reliability(double x) const
 }
 
 double
+BathtubModel::cdf(double x) const
+{
+    return weight * infantComponent.cdf(x) +
+           (1.0 - weight) * mainComponent.cdf(x);
+}
+
+double
 BathtubModel::pdf(double x) const
 {
     return weight * infantComponent.pdf(x) +

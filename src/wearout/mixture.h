@@ -46,8 +46,11 @@ class BathtubModel
     /** Mixture reliability P(T > x). */
     double reliability(double x) const;
 
-    /** Mixture CDF. */
-    double cdf(double x) const { return 1.0 - reliability(x); }
+    /**
+     * Mixture CDF, summed from the components' CDFs so that it keeps
+     * full relative precision where the reliability rounds to 1.
+     */
+    double cdf(double x) const;
 
     /** Mixture density. */
     double pdf(double x) const;

@@ -436,6 +436,20 @@ TEST(Analyze, InfeasibleDesignHasNoAdversary)
     EXPECT_TRUE(checked.analysis.adversaries.empty());
 }
 
+TEST(Analyze, HugeMaxWidthVerifiesClean)
+{
+    // max_width = 1e19 once wrapped the solver's width doubling and
+    // surfaced as V901; the same design without it verifies clean.
+    const analysis::AnalyzedFile checked = analysis::checkSpec(
+        "[design]\n"
+        "alpha = 10\nbeta = 12\nlab = 91250\nk_fraction = 0.5\n"
+        "upper_bound_target = 200000\nmax_width = 1e19\n",
+        "wide.lemons", analysis::CheckDepth::Verify);
+    EXPECT_FALSE(checked.findings.hasCode(lint::Code::V901))
+        << checked.findings.format();
+    EXPECT_FALSE(checked.findings.hasErrors()) << checked.findings.format();
+}
+
 TEST(Analyze, ShippedConfigsAreClean)
 {
     for (const char *name :

@@ -243,6 +243,26 @@ TEST(DesignSolver, RegressionPinnedValues)
     EXPECT_EQ(plain.copies, 4563u);
 }
 
+TEST(DesignSolver, HugeMaxWidthSolvesLikeTheDefault)
+{
+    // The width search doubles up to maxWidth. At maxWidth >= 2^63 the
+    // doubling used to wrap to 0 and abort the solve with an empty
+    // structure; it saturates at maxWidth, so a cap no design reaches
+    // changes nothing.
+    DesignRequest request = baseRequest(10.0, 12.0, 0.5);
+    request.upperBoundTarget = 200000;
+    const Design capped = DesignSolver(request).solve();
+    request.maxWidth = 10'000'000'000'000'000'000ULL;
+    const Design uncapped = DesignSolver(request).solve();
+    ASSERT_TRUE(capped.feasible);
+    ASSERT_TRUE(uncapped.feasible);
+    EXPECT_EQ(uncapped.perCopyBound, capped.perCopyBound);
+    EXPECT_EQ(uncapped.width, capped.width);
+    EXPECT_EQ(uncapped.threshold, capped.threshold);
+    EXPECT_EQ(uncapped.copies, capped.copies);
+    EXPECT_EQ(uncapped.totalDevices, capped.totalDevices);
+}
+
 TEST(DesignSolver, CopyReliabilityMatchesEquationSix)
 {
     const DesignSolver solver(baseRequest(9.3, 12.0));

@@ -29,6 +29,7 @@
 #include "lint/rules.h"
 #include "lint/spec_file.h"
 #include "sim/workload.h"
+#include "two_sample.h"
 #include "util/rng.h"
 #include "wearout/mixture.h"
 #include "wearout/weibull.h"
@@ -231,31 +232,6 @@ chiSquare2x2(uint64_t a, uint64_t n, uint64_t b, uint64_t m)
     return chi;
 }
 
-/** Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y| (ties
- *  stepped together, so integer-valued samples are handled exactly). */
-double
-ksStatistic(std::vector<double> x, std::vector<double> y)
-{
-    std::sort(x.begin(), x.end());
-    std::sort(y.begin(), y.end());
-    size_t i = 0;
-    size_t j = 0;
-    double sup = 0.0;
-    while (i < x.size() && j < y.size()) {
-        const double value = std::min(x[i], y[j]);
-        while (i < x.size() && x[i] == value)
-            ++i;
-        while (j < y.size() && y[j] == value)
-            ++j;
-        sup = std::max(
-            sup, std::abs(static_cast<double>(i) /
-                              static_cast<double>(x.size()) -
-                          static_cast<double>(j) /
-                              static_cast<double>(y.size())));
-    }
-    return sup;
-}
-
 /** The shipped smartphone fleet: retail and secondhand cohorts. */
 lint::FleetSpec
 smartphoneSpec()
@@ -298,7 +274,7 @@ expectSamplersAgree(const lint::FleetSpec &spec,
     expectCounts("reprovisioned", closed.reprovisioned,
                  oracle.reprovisioned);
     const double n = static_cast<double>(kDevices);
-    EXPECT_LT(ksStatistic(closed.serviceDays, oracle.serviceDays),
+    EXPECT_LT(testutil::ksStatistic(closed.serviceDays, oracle.serviceDays),
               kKs999 * std::sqrt(2.0 / n))
         << cohort.name << " service days";
 }
