@@ -15,6 +15,7 @@
  * Build & run:  ./build/examples/one_time_pad_messaging
  */
 
+#include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -114,7 +115,9 @@ main()
         const auto ciphertext = crypto::otpApply(plaintext, slots[s].key);
         std::cout << "Alice -> Bob ciphertext: ";
         for (size_t i = 0; i < 8; ++i)
-            std::cout << std::hex << int{ciphertext[i]} << std::dec;
+            std::cout << std::hex << std::setw(2) << std::setfill('0')
+                      << int{ciphertext[i]} << std::setfill(' ')
+                      << std::dec;
         std::cout << "... (" << ciphertext.size() << " bytes)\n";
 
         const auto padKey = chip[s]

@@ -9,7 +9,11 @@
 
 namespace lemons::fault {
 
-FaultyNemsSwitch::FaultyNemsSwitch(double lifetime) : inner(lifetime) {}
+// glitchRate is 0, so the glitch stream is never drawn.
+FaultyNemsSwitch::FaultyNemsSwitch(double lifetime)
+    : inner(lifetime), glitchStream(0)
+{
+}
 
 FaultyNemsSwitch::FaultyNemsSwitch(const FaultyLifetime &fate,
                                    double glitchRate_, uint64_t glitchSeed)

@@ -173,6 +173,16 @@ fromEngineCheckpoint(const engine::EngineCheckpoint &checkpoint)
 }
 
 /**
+ * Cohort @p c's trial-stream seed: derived from the campaign seed, so
+ * each cohort's stream is independent of every other cohort's.
+ */
+uint64_t
+cohortSeed(uint64_t campaignSeed, size_t c)
+{
+    return Rng(campaignSeed).split(c).next();
+}
+
+/**
  * The first day d in [@p lo, @p hi) with @p pred(d), or @p hi when there
  * is none; @p pred must be monotone (false, then true). A bisection
  * whose first two probes are @p guess (in [lo, hi]) and the day before
@@ -400,6 +410,15 @@ FleetCampaign::run(const CampaignOptions &options) const
                 summary.cohorts.push_back(fromRecord(record));
             startCohort = checkpoint.completed.size();
             if (checkpoint.hasCursor) {
+                // Same spec, other build: a cohort seed derived by a
+                // different generator cannot continue this cursor.
+                if (checkpoint.cursor.seed !=
+                    cohortSeed(fleetSpec.seed, startCohort))
+                    throw CheckpointError(
+                        options.checkpointPath + ": " +
+                        lint::codeInfo(lint::Code::C105).id +
+                        " config mismatch: checkpoint cursor seed is "
+                        "not the cohort seed this build derives");
                 resumeCursor = toEngineCheckpoint(checkpoint.cursor);
                 resumeReplaced = checkpoint.partialReplaced;
                 resumePremature = checkpoint.partialPremature;
@@ -410,7 +429,6 @@ FleetCampaign::run(const CampaignOptions &options) const
         }
     }
 
-    const Rng seedSource(fleetSpec.seed);
     for (size_t c = startCohort; c < fleetSpec.cohorts.size(); ++c) {
         const lint::FleetCohortSpec &cohortSpec = fleetSpec.cohorts[c];
         const uint64_t cohortDevices = trials[c];
@@ -438,10 +456,6 @@ FleetCampaign::run(const CampaignOptions &options) const
             counters.reprovisioned.store(resumeReprovisioned,
                                          std::memory_order_relaxed);
         }
-
-        // Cohort c's trial stream is independent of every other
-        // cohort's: derived from the campaign seed, not shared.
-        const uint64_t cohortSeed = seedSource.split(c).next();
 
         engine::McRunOptions runOptions;
         runOptions.trials = cohortDevices;
@@ -481,7 +495,7 @@ FleetCampaign::run(const CampaignOptions &options) const
         }
 
         const engine::TrialReport report = engine::runTrials(
-            cohortSeed, runOptions,
+            cohortSeed(fleetSpec.seed, c), runOptions,
             [&](Rng &rng, uint64_t) {
                 const DeviceLifetime device = sampleDeviceLifetime(
                     rng, fleetSpec, cohortSpec, lifetime);

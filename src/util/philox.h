@@ -17,8 +17,9 @@
  *
  * where `block` indexes consecutive 128-bit output blocks of one trial
  * and each block yields two 64-bit draws. Rng::trialStream wraps this
- * layout behind the ordinary Rng interface; the raw entry points here
- * exist for the known-answer tests and the batched kernels.
+ * layout behind the ordinary Rng interface, and Rng(seed) uses it with
+ * the reserved trial word Rng::kSeededTrial (2^64 - 1); the raw entry
+ * points here exist for the known-answer tests and the batched kernels.
  *
  * fillUniformOpenLow and min/maxUniformOpenLow run one AVX2 generator
  * when simd::activeLevel() allows: several four-block groups with
@@ -53,15 +54,14 @@ using Key = std::array<uint32_t, 2>;
 /**
  * SplitMix64 step: advances @p x by the golden-ratio increment and
  * returns a scrambled output. The single mixing primitive shared by
- * xoshiro seeding, child-stream derivation and Philox key derivation.
+ * child-stream derivation and Philox key derivation.
  */
 uint64_t splitMix64(uint64_t &x);
 
 /**
  * Derive the 64-bit Philox key for master seed @p seed: one SplitMix64
- * step of seed XOR a fixed domain tag. The tag keeps the key schedule
- * disjoint from the xoshiro state words Rng(seed) derives from the
- * undisturbed SplitMix64 chain of the same seed.
+ * step of seed XOR a fixed domain tag. The tag is part of the stream
+ * contract: changing it would move every trial and seeded stream.
  */
 uint64_t deriveKey(uint64_t seed);
 

@@ -10,12 +10,6 @@ namespace lemons {
 
 namespace {
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 /** The (u >> 11) + 1 grid point in (0, 1]; shared by every uniform path. */
 inline double
 toDoubleOpenLow(uint64_t word)
@@ -25,9 +19,8 @@ toDoubleOpenLow(uint64_t word)
 }
 
 /**
- * Child-seed/key derivation shared by both modes: mix (parent, index)
- * through SplitMix64 twice so nearby pairs map to well-separated
- * children.
+ * Child-key derivation: mix (parent, index) through SplitMix64 twice
+ * so nearby pairs map to well-separated children.
  */
 uint64_t
 deriveChild(uint64_t parent, uint64_t index)
@@ -40,56 +33,30 @@ deriveChild(uint64_t parent, uint64_t index)
 
 } // namespace
 
-Rng::Rng(uint64_t seed) : seedValue(seed), cachedGaussian(0.0)
-{
-    // xoshiro state must not be all zero; SplitMix64 guarantees a
-    // well-mixed nonzero state from any seed.
-    uint64_t sm = seed;
-    for (auto &word : state)
-        word = philox::splitMix64(sm);
-}
+Rng::Rng(uint64_t seed) : Rng(philox::deriveKey(seed), kSeededTrial) {}
 
-Rng::Rng(uint64_t key, uint64_t trial, Mode)
-    : state{key, trial, 0, 0}, seedValue(key), cachedGaussian(0.0),
-      mode(Mode::Philox)
-{
-}
+Rng::Rng(uint64_t key, uint64_t trial) : streamKey(key), trialWord(trial) {}
 
 Rng
 Rng::trialStream(uint64_t seed, uint64_t trial)
 {
-    return Rng(philox::deriveKey(seed), trial, Mode::Philox);
+    return Rng(philox::deriveKey(seed), trial);
 }
 
 uint64_t
 Rng::next()
 {
-    if (mode == Mode::Philox) {
-        if (hasBufferedDraw) {
-            hasBufferedDraw = false;
-            return state[kBufferedWord];
-        }
-        const std::array<uint64_t, 2> draws = philox::blockDraws(
-            philox::block(philox::makeCounter(state[kTrialWord],
-                                              state[kBlockWord]),
-                          philox::keyWords(state[kKeyWord])));
-        ++state[kBlockWord];
-        state[kBufferedWord] = draws[1];
-        hasBufferedDraw = true;
-        return draws[0];
+    if (hasBufferedDraw) {
+        hasBufferedDraw = false;
+        return bufferedDraw;
     }
-
-    const uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
+    const std::array<uint64_t, 2> draws = philox::blockDraws(
+        philox::block(philox::makeCounter(trialWord, blockIndex),
+                      philox::keyWords(streamKey)));
+    ++blockIndex;
+    bufferedDraw = draws[1];
+    hasBufferedDraw = true;
+    return draws[0];
 }
 
 double
@@ -108,28 +75,22 @@ Rng::nextDoubleOpenLow()
 void
 Rng::fillUniformOpenLow(double *out, size_t count)
 {
-    if (mode != Mode::Philox) {
-        for (size_t i = 0; i < count; ++i)
-            out[i] = nextDoubleOpenLow();
-        return;
-    }
-
     size_t filled = 0;
-    if (hasBufferedDraw && filled < count) {
+    if (hasBufferedDraw && count > 0) {
         hasBufferedDraw = false;
-        out[filled++] = toDoubleOpenLow(state[kBufferedWord]);
+        out[filled++] = toDoubleOpenLow(bufferedDraw);
     }
 
     // Bulk-generate whole blocks (two draws each) straight into the
     // output through the dispatched Philox batch with its fused (and
     // exact) uniform conversion; the stream position advances exactly
     // as sequential next() calls would.
-    const philox::Key key = philox::keyWords(state[kKeyWord]);
+    const philox::Key key = philox::keyWords(streamKey);
     const size_t wholeBlocks = (count - filled) / 2;
     if (wholeBlocks > 0) {
-        philox::fillUniformOpenLow(key, state[kTrialWord], state[kBlockWord],
+        philox::fillUniformOpenLow(key, trialWord, blockIndex,
                                    out + filled, wholeBlocks);
-        state[kBlockWord] += wholeBlocks;
+        blockIndex += wholeBlocks;
         filled += 2 * wholeBlocks;
     }
 
@@ -137,10 +98,10 @@ Rng::fillUniformOpenLow(double *out, size_t count)
         // Odd tail: consume the first draw of one more block and leave
         // its second draw buffered, like next() does.
         uint64_t raw[2];
-        philox::fillRaw64(key, state[kTrialWord], state[kBlockWord], raw, 1);
-        ++state[kBlockWord];
+        philox::fillRaw64(key, trialWord, blockIndex, raw, 1);
+        ++blockIndex;
         out[filled] = toDoubleOpenLow(raw[0]);
-        state[kBufferedWord] = raw[1];
+        bufferedDraw = raw[1];
         hasBufferedDraw = true;
     }
 }
@@ -168,25 +129,20 @@ Rng::extremeUniformOpenLow(size_t count, bool max)
     const auto fold = [&result, max](double u) {
         result = max ? std::max(result, u) : std::min(result, u);
     };
-    if (mode != Mode::Philox) {
-        for (size_t i = 0; i < count; ++i)
-            fold(nextDoubleOpenLow());
-        return result;
-    }
     size_t remaining = count;
     if (hasBufferedDraw) {
         hasBufferedDraw = false;
-        fold(toDoubleOpenLow(state[kBufferedWord]));
+        fold(toDoubleOpenLow(bufferedDraw));
         --remaining;
     }
-    const philox::Key key = philox::keyWords(state[kKeyWord]);
+    const philox::Key key = philox::keyWords(streamKey);
     const size_t wholeBlocks = remaining / 2;
     if (wholeBlocks > 0) {
-        fold(max ? philox::maxUniformOpenLow(key, state[kTrialWord],
-                                             state[kBlockWord], wholeBlocks)
-                 : philox::minUniformOpenLow(key, state[kTrialWord],
-                                             state[kBlockWord], wholeBlocks));
-        state[kBlockWord] += wholeBlocks;
+        fold(max ? philox::maxUniformOpenLow(key, trialWord,
+                                             blockIndex, wholeBlocks)
+                 : philox::minUniformOpenLow(key, trialWord,
+                                             blockIndex, wholeBlocks));
+        blockIndex += wholeBlocks;
         remaining -= 2 * wholeBlocks;
     }
     if (remaining > 0)
@@ -239,14 +195,11 @@ Rng::nextGaussian()
 Rng
 Rng::split(uint64_t index) const
 {
-    if (mode == Mode::Philox) {
-        // A fresh key gives an independent Philox permutation; the
-        // trial word carries over so children of different trials stay
-        // on disjoint streams even if their derived keys collided.
-        return Rng(deriveChild(state[kKeyWord], index), state[kTrialWord],
-                   Mode::Philox);
-    }
-    return Rng(deriveChild(seedValue, index));
+    // A fresh key gives an independent Philox permutation; the trial
+    // word carries over so children of different trials stay on
+    // disjoint streams even if their derived keys collided, and no
+    // child of a seeded stream lands on a trial stream.
+    return Rng(deriveChild(streamKey, index), trialWord);
 }
 
 } // namespace lemons

@@ -3,19 +3,20 @@
  * Deterministic, splittable random number generation.
  *
  * All stochastic code in the library draws from lemons::Rng so that
- * every simulation is reproducible from a single 64-bit seed. Two
- * generator modes live behind the one interface:
+ * every simulation is reproducible from a single 64-bit seed. Every
+ * Rng is one Philox4x32-10 counter-mode stream (Random123): a key and
+ * a trial word name the stream, and draw i is a pure function of
+ * (key, trial, i).
  *
- *  - xoshiro256** (Blackman & Vigna), seeded through SplitMix64: the
- *    default for ad-hoc / non-trial randomness (fault injection setup,
- *    attacker models, calibration, tests).
- *  - Philox4x32-10 counter mode (Random123): the definitional stream
- *    for Monte Carlo trials. Rng::trialStream(seed, trial) keys the
- *    generator on (seed, trial) and counts draws, so any draw of any
- *    trial is independently computable — the engine's trial kernels
- *    are embarrassingly parallel with zero chunk-order coupling, and
- *    the batched fillUniformOpenLow path can generate blocks with
- *    AVX2 while staying bit-identical to sequential next() calls.
+ *  - Rng::trialStream(seed, trial) is the definitional stream of Monte
+ *    Carlo trial @p trial, so the engine's trial kernels are
+ *    embarrassingly parallel with zero chunk-order coupling, and the
+ *    batched fillUniformOpenLow path can generate blocks with AVX2
+ *    while staying bit-identical to sequential next() calls.
+ *  - Rng(seed) serves non-trial randomness (cohort seeds, fault glitch
+ *    streams, attacker models, calibration, tests). It sits on the
+ *    reserved trial word kSeededTrial, which no engine trial reaches,
+ *    so a seeded stream never replays a trial stream of the same seed.
  *
  * See util/philox.h for the counter layout and ARCHITECTURE.md for the
  * stream contract.
@@ -24,15 +25,13 @@
 #ifndef LEMONS_UTIL_RNG_H_
 #define LEMONS_UTIL_RNG_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace lemons {
 
 /**
- * Pseudo-random generator: xoshiro256** with SplitMix64 seeding, or
- * Philox4x32-10 counter mode for trial streams.
+ * Pseudo-random generator: one Philox4x32-10 counter-mode stream.
  *
  * Satisfies the subset of the UniformRandomBitGenerator concept the
  * library needs; not intended for cryptographic use (the crypto module
@@ -43,8 +42,11 @@ class Rng
   public:
     using result_type = uint64_t;
 
-    /** Construct an xoshiro generator from a 64-bit seed. */
-    explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL);
+    /** Trial word of every Rng(seed) stream and its split() children. */
+    static constexpr uint64_t kSeededTrial = ~uint64_t{0};
+
+    /** The seeded stream: Philox keyed on deriveKey(seed), kSeededTrial. */
+    explicit Rng(uint64_t seed);
 
     /**
      * The counter-based stream of Monte Carlo trial @p trial under
@@ -55,9 +57,6 @@ class Rng
      * of (seed, t, i).
      */
     static Rng trialStream(uint64_t seed, uint64_t trial);
-
-    /** True when this generator runs in Philox counter mode. */
-    bool isCounterBased() const { return mode == Mode::Philox; }
 
     /** Smallest value next() can return. */
     static constexpr result_type min() { return 0; }
@@ -82,10 +81,10 @@ class Rng
     /**
      * Fill @p out[0 .. count) with uniforms in (0, 1], bit-identical to
      * @p count sequential nextDoubleOpenLow() calls (the generator
-     * state advances exactly as if they had been made). In counter
-     * mode the Philox blocks are generated in bulk — with AVX2 when
-     * the runtime dispatch allows — which is the fast path of the
-     * engine's structure-of-arrays kernels.
+     * state advances exactly as if they had been made). The Philox
+     * blocks are generated in bulk — with AVX2 when the runtime
+     * dispatch allows — which is the fast path of the engine's
+     * structure-of-arrays kernels.
      */
     void fillUniformOpenLow(double *out, size_t count);
 
@@ -111,42 +110,30 @@ class Rng
     double nextGaussian();
 
     /**
-     * Derive the @p index -th child stream. Children of the same parent
+     * Derive the @p index -th child stream: a fresh key, the parent's
+     * trial word and a reset draw counter. Children of the same parent
      * with distinct indices are statistically independent streams, and
      * deriving is order-independent, so parallel Monte Carlo trials stay
-     * reproducible. A counter-mode parent derives counter-mode children
-     * (fresh key, draw counter reset); an xoshiro parent derives
-     * xoshiro children.
+     * reproducible.
      */
     Rng split(uint64_t index) const;
 
   private:
-    enum class Mode : uint8_t { Xoshiro, Philox };
-
-    /** Counter-mode constructor: see trialStream(). */
-    Rng(uint64_t key, uint64_t trial, Mode tag);
+    /** The stream (key, trial) at draw 0. */
+    Rng(uint64_t key, uint64_t trial);
 
     /** Shared body of minUniformOpenLow / maxUniformOpenLow. */
     double extremeUniformOpenLow(size_t count, bool max);
 
-    /**
-     * Mode-dependent state layout. Xoshiro: the four xoshiro256**
-     * state words. Philox: [key, trial, next block index, buffered
-     * second draw of the last block].
-     */
-    std::array<uint64_t, 4> state;
-    static constexpr size_t kKeyWord = 0;
-    static constexpr size_t kTrialWord = 1;
-    static constexpr size_t kBlockWord = 2;
-    static constexpr size_t kBufferedWord = 3;
-
-    /** Seed material retained so split() can derive children. */
-    uint64_t seedValue;
-    /** Cached second output of the polar method, NaN when empty. */
-    double cachedGaussian;
-    Mode mode = Mode::Xoshiro;
+    uint64_t streamKey;
+    uint64_t trialWord;
+    /** Index of the next Philox block to generate. */
+    uint64_t blockIndex = 0;
+    /** Second draw of the last block, pending when hasBufferedDraw. */
+    uint64_t bufferedDraw = 0;
+    /** Cached second output of the polar method. */
+    double cachedGaussian = 0.0;
     bool hasCachedGaussian = false;
-    /** Philox mode: second draw of the current block is pending. */
     bool hasBufferedDraw = false;
 };
 

@@ -603,6 +603,38 @@ TEST(FleetCampaign, ResumeRejectsForeignCheckpoint)
     }
 }
 
+TEST(FleetCampaign, ResumeRejectsCursorWithAnotherCohortSeed)
+{
+    const TempDir dir;
+    const FleetCampaign campaign(smallSpec());
+    CampaignOptions interrupted;
+    interrupted.checkpointPath = dir.path("fleet.ckpt");
+    interrupted.deadline = std::chrono::steady_clock::now() -
+                           std::chrono::milliseconds(1);
+    static_cast<void>(campaign.run(interrupted));
+
+    // Same spec, but a cursor seed this build does not derive: the
+    // checkpoint of a build whose generator seeded the cohort
+    // differently must be refused with C105 and its path.
+    FleetCheckpoint checkpoint = readCheckpoint(dir.path("fleet.ckpt"));
+    ASSERT_TRUE(checkpoint.hasCursor);
+    checkpoint.cursor.seed ^= 1;
+    writeCheckpointAtomic(dir.path("fleet.ckpt"), checkpoint);
+
+    CampaignOptions resume;
+    resume.checkpointPath = dir.path("fleet.ckpt");
+    resume.resume = true;
+    try {
+        static_cast<void>(campaign.run(resume));
+        FAIL() << "checkpoint with another cohort seed must be rejected";
+    } catch (const CheckpointError &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("C105"), std::string::npos) << message;
+        EXPECT_NE(message.find(dir.path("fleet.ckpt")), std::string::npos)
+            << message;
+    }
+}
+
 TEST(FleetCampaign, SealedCheckpointResumeSkipsAllWork)
 {
     const TempDir dir;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the generators: xoshiro256** stream splitting, and the
- * Philox4x32-10 counter-based trial streams (known-answer vectors from
- * the Random123 distribution, key-derivation goldens, bulk-fill and
- * fused-reduction equivalence, SIMD-vs-scalar bit-identity).
+ * Unit tests for Rng, one Philox4x32-10 counter-mode stream: seeded
+ * streams and their splitting, the trial streams (known-answer vectors
+ * from the Random123 distribution, key-derivation goldens, bulk-fill
+ * and fused-reduction equivalence, SIMD-vs-scalar bit-identity), and
+ * the reserved trial word that keeps seeded streams off trial streams.
  */
 
 #include <gtest/gtest.h>
@@ -275,7 +276,6 @@ TEST(Philox, TrialStreamMatchesRawBlocks)
     const philox::Key key = philox::keyWords(philox::deriveKey(seed));
     for (uint64_t trial : {uint64_t{0}, uint64_t{3}, uint64_t{1} << 40}) {
         Rng rng = Rng::trialStream(seed, trial);
-        ASSERT_TRUE(rng.isCounterBased());
         for (uint64_t b = 0; b < 8; ++b) {
             const std::array<uint64_t, 2> draws = philox::blockDraws(
                 philox::block(philox::makeCounter(trial, b), key));
@@ -393,8 +393,6 @@ TEST(Philox, SplitDerivesCounterModeChildren)
     const Rng parent = Rng::trialStream(55, 7);
     Rng a = parent.split(0);
     Rng b = parent.split(1);
-    EXPECT_TRUE(a.isCounterBased());
-    EXPECT_TRUE(b.isCounterBased());
     int equal = 0;
     for (int i = 0; i < 1000; ++i)
         if (a.next() == b.next())
@@ -405,6 +403,53 @@ TEST(Philox, SplitDerivesCounterModeChildren)
     Rng a3 = parent.split(0);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a2.next(), a3.next());
+    // A child is a counter-mode stream: its bulk fill (from an odd
+    // position, so the buffered draw and the odd tail both run)
+    // matches its own sequential draws.
+    Rng sequential = parent.split(2);
+    Rng bulk = parent.split(2);
+    static_cast<void>(sequential.next());
+    static_cast<void>(bulk.next());
+    std::vector<double> filled(37);
+    bulk.fillUniformOpenLow(filled.data(), filled.size());
+    for (double u : filled)
+        EXPECT_EQ(u, sequential.nextDoubleOpenLow());
+    EXPECT_EQ(bulk.next(), sequential.next());
+}
+
+TEST(Philox, SeededStreamMatchesRawBlocks)
+{
+    // Rng(seed) is the Philox stream keyed on deriveKey(seed) on the
+    // reserved trial word: draw i is blockDraws(block(counter(
+    // kSeededTrial, i/2), key))[i%2].
+    for (uint64_t seed : {uint64_t{0}, uint64_t{42}, uint64_t{20170624}}) {
+        const philox::Key key = philox::keyWords(philox::deriveKey(seed));
+        Rng rng(seed);
+        for (uint64_t b = 0; b < 4; ++b) {
+            const std::array<uint64_t, 2> draws = philox::blockDraws(
+                philox::block(philox::makeCounter(Rng::kSeededTrial, b),
+                              key));
+            EXPECT_EQ(rng.next(), draws[0]);
+            EXPECT_EQ(rng.next(), draws[1]);
+        }
+    }
+}
+
+TEST(Philox, SeededStreamsNeverReplayTrialStreams)
+{
+    // Rng(s) and its children sit on the reserved trial word, so no
+    // seeded stream shares its first draw with trialStream(s, t).
+    for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{7},
+                          uint64_t{42}, uint64_t{20170624}}) {
+        std::set<uint64_t> trialFirsts;
+        for (uint64_t t = 0; t < 64; ++t)
+            trialFirsts.insert(Rng::trialStream(seed, t).next());
+        const Rng seeded(seed);
+        EXPECT_EQ(trialFirsts.count(Rng(seed).next()), 0u) << seed;
+        for (uint64_t i = 0; i < 64; ++i)
+            EXPECT_EQ(trialFirsts.count(seeded.split(i).next()), 0u)
+                << seed << " split " << i;
+    }
 }
 
 TEST(Philox, SimdAndScalarPathsBitIdentical)

@@ -226,19 +226,19 @@ TEST(Statistical, PoissonZeroMeanAndDeterminism)
     // sampler shows up as an exact-value failure here before it shows
     // up as a distributional drift above.
     Rng golden(99);
-    const uint64_t exact[] = {6, 4, 3, 5};
+    const uint64_t exact[] = {4, 1, 2, 4};
     for (const uint64_t want : exact)
         EXPECT_EQ(sim::poissonSample(golden, 5.0), want);
-    const uint64_t ptrs[] = {527, 511, 489, 508};
+    const uint64_t ptrs[] = {471, 487, 505, 500};
     for (const uint64_t want : ptrs)
         EXPECT_EQ(sim::poissonSample(golden, 500.0), want);
 }
 
 // ---------------------------------------------------------------------
 // Counter-based (Philox) trial streams: the engine's definitional
-// randomness must pass the same goodness-of-fit battery as the default
-// generator, plus independence across adjacent trial indices — the
-// pattern the embarrassingly-parallel kernels rely on.
+// randomness must pass the same goodness-of-fit battery as the seeded
+// Rng(seed) streams above, plus independence across adjacent trial
+// indices — the pattern the embarrassingly-parallel kernels rely on.
 // ---------------------------------------------------------------------
 
 TEST(Statistical, PhiloxUniformsMatchUniformCdf)

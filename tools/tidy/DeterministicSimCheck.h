@@ -9,8 +9,8 @@
  * entry points are the counter-based Philox trial streams
  * (`Rng::trialStream(seed, trial)`, the definitional path for Monte
  * Carlo trials; batch kernels may use `util/philox.h` deriveKey /
- * fillUniform directly) and the splittable xoshiro256** streams
- * (`Rng(seed)` / `Rng::split`) for non-trial uses. Flagged:
+ * fillUniform directly) and the seeded Philox streams (`Rng(seed)` /
+ * `Rng::split`) for non-trial uses. Flagged:
  *
  *   - std::rand / srand / time / clock (global hidden state);
  *   - std::random_device (hardware entropy: unseedable);
